@@ -51,25 +51,24 @@ type Config struct {
 	// shuffle.DefaultPartitions().
 	Partitions int
 
-	// MemoryBudget is the per-partition memory budget in buffered
-	// pairs: a shuffle partition whose live buffer reaches the budget
-	// seals its run. With SpillDir set, sealed runs are encoded to
-	// disk and reduce partitions stream a k-way merge over them;
-	// without it sealed runs stay in memory and only spill pressure is
-	// reported. MaxBufferedPairs is the older alias, honored when
-	// MemoryBudget is zero.
-	MemoryBudget     int
-	MaxBufferedPairs int
+	// MemoryBudget is the per-partition memory budget in pairs, shared
+	// by the concurrently running map tasks: each task writer seals a
+	// partition's live run at ⌊MemoryBudget/S⌋ pairs, S being the
+	// number of writers (Workers, or fewer when there are fewer map
+	// tasks). With SpillDir set, sealed runs are encoded to disk and
+	// reduce partitions stream a k-way merge over them, so the pairs
+	// held in memory stay at or under P*MemoryBudget; without it sealed
+	// runs stay in memory and only spill pressure is reported.
+	MemoryBudget int
 
 	// SpillDir is the directory for spill run files (temp files,
 	// deleted when the round finishes). Empty means no disk spill.
 	SpillDir string
 
 	// CompactionConcurrency sizes the shuffle's background compaction
-	// worker pool on the streaming path: zero selects the default pool,
-	// negative compacts inline with sealing (single-threaded, as the
-	// barrier path always does). SpoolRotateBytes bounds how many dead
-	// (compacted or aborted) bytes a streaming spool file accumulates
+	// worker pool: zero selects the default pool, negative compacts
+	// inline on the committing worker. SpoolRotateBytes bounds how many
+	// dead (compacted or aborted) bytes a spool file accumulates
 	// before it is rotated and its disk reclaimed mid-round: zero
 	// selects the default threshold, negative disables rotation. Both
 	// pass straight through to the shuffle.
@@ -90,8 +89,8 @@ type Config struct {
 	// whenever the task ordinal is divisible by FailureEveryN; failed
 	// tasks retry up to MaxRetries times (default 2 when injection is
 	// on). Map tasks fail *after* emitting their output, so injection
-	// exercises the streaming path's attempt fencing (flushed pairs of
-	// the failed attempt are discarded, the retry re-emits). Reduce
+	// exercises attempt fencing (the failed attempt's sealed runs are
+	// released, the retry re-emits). Reduce
 	// tasks are partitions; their ordinal counts non-empty partitions
 	// in ascending order, so injection always hits at least one reduce
 	// task regardless of how keys hashed.
@@ -114,24 +113,11 @@ type Config struct {
 	// means the worker count.
 	ReduceRangeConcurrency int
 
-	// LegacyMerge opts the round out of streaming shuffle ingestion and
-	// back onto the barrier path: every map task's output is buffered
-	// whole and merged after the map phase ends. Outputs are identical
-	// either way, as are PairsEmitted, Reducers and MaxReducerInput
-	// (the differential suite pins this); only the physical profile —
-	// resident memory, spill timing, run boundaries — differs. With a
-	// Combine func, PairsShuffled (a post-combine count) additionally
-	// depends on where the runtime applied the combiner, which the two
-	// paths do at different points — like spill-on vs spill-off, it is
-	// comparable only within one configuration. Tests and benchmarks
-	// use LegacyMerge to compare the two data paths.
-	LegacyMerge bool
-
 	// Recorder, when non-nil, captures the round's lifecycle as timed
 	// events: phase boundaries on the round lane, map/reduce task
-	// attempts on per-worker lanes, and the shuffle's block flushes,
-	// seals, fences, compactions and reduce merges on per-partition
-	// lanes (the shuffle inherits the same recorder). Export with
+	// attempts and their seals and aborts on per-worker lanes,
+	// compactions on compactor lanes, and reduce merges on
+	// per-partition lanes (the shuffle inherits the same recorder). Export with
 	// obs.WriteTrace / obs.WritePrometheus after Run returns. Nil keeps
 	// the hot path free of everything but a nil check.
 	Recorder *obs.Recorder
@@ -146,13 +132,6 @@ func (c Config) workers() int {
 		n = 1
 	}
 	return n
-}
-
-func (c Config) memoryBudget() int {
-	if c.MemoryBudget > 0 {
-		return c.MemoryBudget
-	}
-	return c.MaxBufferedPairs
 }
 
 func (c Config) maxRetries() int {
@@ -174,7 +153,7 @@ type Round[I any, K comparable, V, O any] struct {
 
 	// ReduceBatch, when set, replaces Reduce on the reduce path and
 	// opts the round into the shuffle's batch read contract
-	// (Partition.ForEachGroupBatch): each spilled group's value section
+	// (RangeReader.ForEachGroupRange with reuse): each spilled group's value section
 	// is read in one pass and decoded into a scratch slice that the
 	// next group reuses, so the values slice is valid only during the
 	// call — the function must not retain it (copy to keep). Reduce
@@ -249,30 +228,22 @@ type Metrics struct {
 	IndexBytesSpilled int64
 	RunsMerged        int64
 	DiskBytesRead     int64
-	// SwapBytes is the raw bytes the streaming path's pressure relief
-	// swapped to stash files and read back — bookkeeping traffic, kept
-	// out of BytesSpilled so spilled volume stays the deterministic
-	// communication cost. BytesReclaimed is the total size of spill
-	// files deleted while the round was still running (spool rotation,
-	// compaction retiring its inputs): disk handed back before Close.
-	SwapBytes      int64
+	// BytesReclaimed is the total size of spill files deleted while the
+	// round was still running (spool rotation, compaction retiring its
+	// inputs): disk handed back before Close.
 	BytesReclaimed int64
-	// MaxLivePairs is the high-water mark of any shuffle partition's
-	// live buffer; under a memory budget it never exceeds the budget.
+	// MaxLivePairs is the largest live run any map task held for one
+	// partition; under a memory budget it never exceeds the budget.
 	MaxLivePairs int
 	// PeakResidentPairs is the whole-round high-water mark of pairs
-	// resident in shuffle memory (live runs, staged streaming blocks,
-	// in-memory sealed runs). On the streaming path with a SpillDir it
-	// stays under P*MemoryBudget + workers*BlockPairs — the runtime's
-	// whole-round bounded-memory guarantee, as opposed to
-	// MaxLivePairs's per-partition one.
+	// resident in shuffle memory (task writers' live runs and in-memory
+	// sealed runs). With a SpillDir it stays at or under P*MemoryBudget
+	// — the runtime's whole-round bounded-memory guarantee.
 	PeakResidentPairs int64
-	// SpillOverlapNs is the time the streaming path spent absorbing,
-	// sealing and spilling while map tasks were still running — work
-	// the legacy barrier serialized after the map phase. FinishDrainNs
-	// is the residual post-map drain: the barrier that remains.
+	// SpillOverlapNs is the time map tasks spent sealing — combining,
+	// sorting, encoding and spilling runs — all of it overlapped with
+	// mapping.
 	SpillOverlapNs int64
-	FinishDrainNs  int64
 	// ReducerInputLog2 is the log2-bucketed distribution of reducer
 	// input sizes — the paper's q distribution. Bucket i counts the
 	// reducers whose input lies in [2^i, 2^(i+1)); trimmed after the
@@ -320,7 +291,7 @@ var errInjected = errors.New("engine: injected task failure")
 func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
 	res.Metrics.MapInputs = int64(len(inputs))
 	cfg := r.Config
-	if cfg.SpillDir != "" && cfg.memoryBudget() <= 0 {
+	if cfg.SpillDir != "" && cfg.MemoryBudget <= 0 {
 		return res, fmt.Errorf(
 			"engine: round %q sets SpillDir without a memory budget; set Config.MemoryBudget (pairs per partition) to enable spilling",
 			r.Name)
@@ -328,7 +299,7 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 
 	sh := shuffle.New[K, V](shuffle.Options{
 		Partitions:            cfg.Partitions,
-		MaxBufferedPairs:      cfg.memoryBudget(),
+		MemoryBudget:          cfg.MemoryBudget,
 		SpillDir:              cfg.SpillDir,
 		CompactionConcurrency: cfg.CompactionConcurrency,
 		SpoolRotateBytes:      cfg.SpoolRotateBytes,
@@ -343,9 +314,9 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 		sh.SetPartitioner(r.Partitioner)
 	}
 	if r.Combine != nil {
-		// Push the combiner down into the shuffle's sealing path: under
-		// a memory budget each key group is combined again before a run
-		// is sealed (and across runs during compaction), so spilled
+		// Push the combiner down into the shuffle's sealing path: each
+		// key group is combined again before a run is sealed (and across
+		// runs during compaction), so spilled
 		// bytes track the post-combine communication cost. Safe because
 		// CombineFunc is required to be semantically transparent.
 		sh.SetCombiner(r.Combine)
@@ -371,7 +342,6 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 	res.Metrics.BytesSpilled = st.BytesSpilled
 	res.Metrics.IndexBytesSpilled = st.IndexBytesSpilled
 	res.Metrics.RunsMerged = st.RunsMerged
-	res.Metrics.SwapBytes = st.SwapBytes
 	res.Metrics.BytesReclaimed = st.BytesReclaimed
 	res.Metrics.MaxLivePairs = st.MaxLivePairs
 	res.Metrics.PeakResidentPairs = st.PeakResidentPairs
@@ -444,35 +414,26 @@ func splitTasks(cfg Config, n int) []mapTask {
 	return tasks
 }
 
-// runMapPhase executes map tasks in parallel. By default each task
-// streams its output into the shuffle as it is produced (block-based
-// ingestion: full blocks flush to their partition, which absorbs,
-// seals and spills concurrently with still-running map tasks); with
-// Config.LegacyMerge every task's output is buffered whole and merged
-// after the map phase ends.
+// runMapPhase executes map tasks in parallel, one shuffle task writer
+// per worker: each task streams its output into its writer, which
+// seals runs at the writer's share of the memory budget while the task
+// maps, and commits them to their partitions when the task succeeds.
 func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I, sh *shuffle.Shuffle[K, V], met *Metrics) (retErr error) {
 	cfg := r.Config
 	tasks := splitTasks(cfg, len(inputs))
-	// The map-phase span covers mapping plus (on the streaming path) the
-	// Finish drain, so partition-lane seal/fence spans inside it that
-	// overlap worker map-task spans are exactly SpillOverlapNs.
 	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
 	rlane.Begin(obs.OpPhaseMap, int64(len(tasks)), 0)
 	defer func() { rlane.End(obs.OpPhaseMap, met.PairsEmitted, errFlag(retErr)) }()
-	if cfg.LegacyMerge {
-		return runMapPhaseLegacy(r, inputs, tasks, sh, met)
-	}
 
-	ing := sh.NewIngester()
+	writers := sh.TaskWriters(min(cfg.workers(), len(tasks)))
 	emitted := make([]int64, len(tasks))
 	retries := make([]int64, len(tasks))
 	errs := make([]error, len(tasks))
-
 	var wg sync.WaitGroup
 	taskCh := make(chan int)
-	for w := 0; w < cfg.workers(); w++ {
+	for w, tw := range writers {
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, tw *shuffle.TaskWriter[K, V]) {
 			defer wg.Done()
 			wlane := cfg.Recorder.Lane(obs.LaneWorker, w)
 			for ti := range taskCh {
@@ -480,16 +441,15 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 				attempts := 0
 				for {
 					wlane.Begin(obs.OpMapTask, int64(t.idx), int64(attempts))
-					count, err, fatal := attemptMapTaskStreaming(r, inputs[t.lo:t.hi], ing, t.idx, attempts)
+					count, err, fatal := attemptMapTask(r, inputs[t.lo:t.hi], tw, t.idx, attempts)
 					wlane.End(obs.OpMapTask, count, errFlag(err))
 					if err == nil {
 						emitted[ti] = count
 						break
 					}
 					if fatal {
-						// A commit error means the shuffle's absorption or
-						// spill failed with the attempt's pairs possibly
-						// already folded in; retrying would double them.
+						// The shuffle failed to seal or compact: a disk fault a
+						// retry would only repeat.
 						errs[ti] = fmt.Errorf("engine: shuffle ingest of round %q: %w", r.Name, err)
 						break
 					}
@@ -502,7 +462,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 					}
 				}
 			}
-		}(w)
+		}(w, tw)
 	}
 	for ti := range tasks {
 		taskCh <- ti
@@ -519,21 +479,20 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 		met.PairsEmitted += emitted[ti]
 		met.MapRetries += retries[ti]
 	}
-	if err := ing.Finish(); err != nil {
+	if err := sh.Finish(); err != nil {
 		return fmt.Errorf("engine: shuffle ingest of round %q: %w", r.Name, err)
 	}
-	met.SpillOverlapNs = ing.OverlapNs()
-	met.FinishDrainNs = ing.FinishNs()
+	met.SpillOverlapNs = sh.SealNs()
 	return nil
 }
 
-// attemptMapTaskStreaming runs one attempt of a map task against the
-// streaming ingester. Injected failures fire after the task emitted
-// (and flushed) its output, so the attempt's staged pairs must be
-// fenced off by Abort and re-emitted by the retry. fatal marks commit
-// errors, which must fail the round rather than retry the task.
-func attemptMapTaskStreaming[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, ing *shuffle.Ingester[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
-	tw := ing.Task(taskIdx, attempt)
+// attemptMapTask runs one attempt of a map task through the worker's
+// task writer. Injected failures fire after the task emitted (and
+// sealed) its output, so the attempt's runs must be released by Abort
+// and re-emitted by the retry. fatal marks commit errors, which must
+// fail the round rather than retry the task.
+func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, tw *shuffle.TaskWriter[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
+	tw.Begin(taskIdx, attempt)
 	count := runMapAttempt(r, records, tw.Emit)
 	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskIdx%fe == 0 {
 		tw.Abort()
@@ -543,80 +502,6 @@ func attemptMapTaskStreaming[I any, K comparable, V, O any](r Round[I, K, V, O],
 		return 0, err, true
 	}
 	return count, nil, false
-}
-
-// runMapPhaseLegacy is the barrier path: every task's output is
-// buffered whole, then merged with the shuffle's per-partition
-// goroutines after the map phase ends.
-func runMapPhaseLegacy[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I, tasks []mapTask, sh *shuffle.Shuffle[K, V], met *Metrics) error {
-	cfg := r.Config
-	buffers := make([]*shuffle.TaskBuffer[K, V], len(tasks))
-	emitted := make([]int64, len(tasks))
-	retries := make([]int64, len(tasks))
-	errs := make([]error, len(tasks))
-
-	var wg sync.WaitGroup
-	taskCh := make(chan int)
-	for w := 0; w < cfg.workers(); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wlane := cfg.Recorder.Lane(obs.LaneWorker, w)
-			for ti := range taskCh {
-				t := tasks[ti]
-				attempts := 0
-				for {
-					wlane.Begin(obs.OpMapTask, int64(t.idx), int64(attempts))
-					buf, count, err := attemptMapTask(r, inputs[t.lo:t.hi], sh, t.idx, attempts)
-					wlane.End(obs.OpMapTask, count, errFlag(err))
-					if err == nil {
-						buffers[ti], emitted[ti] = buf, count
-						break
-					}
-					attempts++
-					retries[ti]++
-					if attempts > cfg.maxRetries() {
-						errs[ti] = fmt.Errorf("engine: map task %d of round %q failed after %d attempts: %w",
-							t.idx, r.Name, attempts, err)
-						break
-					}
-				}
-			}
-		}(w)
-	}
-	for ti := range tasks {
-		taskCh <- ti
-	}
-	close(taskCh)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for ti := range tasks {
-		met.PairsEmitted += emitted[ti]
-		met.MapRetries += retries[ti]
-	}
-	if err := sh.Merge(buffers); err != nil {
-		return fmt.Errorf("engine: shuffle merge of round %q: %w", r.Name, err)
-	}
-	return nil
-}
-
-// attemptMapTask runs one attempt of a map task on the barrier path,
-// returning the task's shuffle buffer and its pre-combine emission
-// count. Like the streaming path, injected failures fire after the
-// task produced its output: the discarded buffer is the legacy
-// equivalent of an aborted streaming attempt.
-func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, sh *shuffle.Shuffle[K, V], taskIdx, attempt int) (*shuffle.TaskBuffer[K, V], int64, error) {
-	buf := sh.NewTaskBuffer()
-	count := runMapAttempt(r, records, buf.Emit)
-	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskIdx%fe == 0 {
-		return nil, 0, errInjected
-	}
-	return buf, count, nil
 }
 
 // runMapAttempt maps the records into emit, returning the pre-combine
@@ -659,7 +544,8 @@ type partResult[K comparable, O any] struct {
 }
 
 // reduceUnit is one schedulable piece of the reduce phase: a whole
-// partition (rng < 0) or one planned key range of a split partition.
+// partition (rng < 0, read as one full key range) or one planned key
+// range of a split partition.
 type reduceUnit struct {
 	part int
 	rng  int
@@ -795,13 +681,10 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		}
 	}
 
-	results := make([]partResult[K, O], P)
 	rangeResults := make([][]partResult[K, O], P)
 	readers := make([]partReader[K, V], P)
 	for p := 0; p < P; p++ {
-		if ranges[p] != nil {
-			rangeResults[p] = make([]partResult[K, O], len(ranges[p]))
-		}
+		rangeResults[p] = make([]partResult[K, O], max(len(ranges[p]), 1))
 		readers[p].part = sh.Partition(p)
 	}
 	retries := make([]int64, len(units))
@@ -820,50 +703,35 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 				if ordinal[p] < 0 {
 					continue
 				}
-				if rng < 0 {
-					part := sh.Partition(p)
-					attempts := 0
-					for {
-						wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
-						pr, err := attemptReducePartition(r, part, ordinal[p], attempts)
-						wlane.End(obs.OpReduceTask, int64(len(pr.keys)), errFlag(err))
-						if err == nil {
-							results[p] = pr
-							break
-						}
-						attempts++
-						retries[u]++
-						if attempts > cfg.maxRetries() {
-							errs[u] = fmt.Errorf("engine: reduce partition %d of round %q failed after %d attempts: %w",
-								p, r.Name, attempts, err)
-							break
-						}
-					}
-					continue
-				}
 				rr, err := readers[p].acquire()
 				if err != nil {
 					errs[u] = fmt.Errorf("engine: opening partition %d for range reduce of round %q: %w",
 						p, r.Name, err)
 					continue
 				}
-				rlane := cfg.Recorder.Lane(obs.LaneRange, u)
+				// An unsplit partition is one full key range, read through
+				// the same RangeReader; only split ranges get range lanes.
+				var kr shuffle.KeyRange[K]
+				var rlane *obs.Ring
+				if rng >= 0 {
+					kr, rlane = ranges[p][rng], cfg.Recorder.Lane(obs.LaneRange, u)
+				}
 				attempts := 0
 				for {
 					wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
 					rlane.Begin(obs.OpReduceRange, int64(p), int64(rng))
-					pr, err := attemptReduceRange(r, rr, ranges[p][rng], rng == 0, ordinal[p], attempts)
+					pr, err := attemptReduceRange(r, rr, kr, rng <= 0, ordinal[p], attempts)
 					rlane.End(obs.OpReduceRange, int64(len(pr.keys)), errFlag(err))
 					wlane.End(obs.OpReduceTask, int64(len(pr.keys)), errFlag(err))
 					if err == nil {
-						rangeResults[p][rng] = pr
+						rangeResults[p][max(rng, 0)] = pr
 						break
 					}
 					attempts++
 					retries[u]++
 					if attempts > cfg.maxRetries() {
 						errs[u] = fmt.Errorf("engine: reduce partition %d range %d of round %q failed after %d attempts: %w",
-							p, rng, r.Name, attempts, err)
+							p, max(rng, 0), r.Name, attempts, err)
 						break
 					}
 				}
@@ -883,13 +751,11 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		res.Metrics.ReduceRetries += retries[u]
 	}
 
-	// Reassemble split partitions in range order: the ranges partition
-	// the key space in canonical order, so concatenation reproduces the
+	// Reassemble partitions in range order: the ranges partition the key
+	// space in canonical order, so concatenation reproduces the
 	// whole-partition merge's key sequence exactly.
+	results := make([]partResult[K, O], P)
 	for p := 0; p < P; p++ {
-		if ranges[p] == nil {
-			continue
-		}
 		var pr partResult[K, O]
 		for _, rpr := range rangeResults[p] {
 			pr.keys = append(pr.keys, rpr.keys...)
@@ -960,38 +826,12 @@ func collectKeyLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys i
 	return allKeys, loads, nil
 }
 
-// attemptReducePartition runs one attempt of a partition's reduce task,
-// streaming the partition's key groups in sorted order through the
-// shuffle's k-way merge: only one group's values are resident per run
-// at a time, so a spilled partition reduces within the memory budget.
-func attemptReducePartition[I any, K comparable, V, O any](r Round[I, K, V, O], part shuffle.Partition[K, V], taskOrdinal, attempt int) (partResult[K, O], error) {
-	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskOrdinal%fe == 0 {
-		return partResult[K, O]{}, errInjected
-	}
-	var pr partResult[K, O]
-	reduce, each := r.Reduce, part.ForEachGroup
-	if r.ReduceBatch != nil {
-		// The batch contract: one value-section read and one batch
-		// decode per group, values only valid during the call.
-		reduce, each = r.ReduceBatch, part.ForEachGroupBatch
-	}
-	err := each(func(k K, vs []V) error {
-		pr.keys = append(pr.keys, k)
-		pr.loads = append(pr.loads, len(vs))
-		var outs []O
-		reduce(k, vs, func(o O) { outs = append(outs, o) })
-		pr.outs = append(pr.outs, outs)
-		return nil
-	})
-	if err != nil {
-		return partResult[K, O]{}, err
-	}
-	return pr, nil
-}
-
-// attemptReduceRange runs one attempt of a single key-range unit of a
-// split partition, through the partition's shared RangeReader. Fault
-// injection fires only on the partition's first range (first == true),
+// attemptReduceRange runs one attempt of a reduce unit — a planned key
+// range, or the zero KeyRange covering the whole partition — streaming
+// its groups in sorted order through the partition's shared
+// RangeReader: only one group's values are resident per run at a time,
+// so a spilled partition reduces within the memory budget. Fault
+// injection fires only on the partition's first unit (first == true),
 // so a split round injects exactly as many failures as an unsplit one.
 func attemptReduceRange[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], first bool, taskOrdinal, attempt int) (partResult[K, O], error) {
 	if fe := r.Config.FailureEveryN; fe > 0 && first && attempt == 0 && taskOrdinal%fe == 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -189,6 +190,46 @@ func TestFaultInjectionThroughPartitionedExecutor(t *testing.T) {
 	if faulty.Metrics.PairsEmitted != 12 {
 		t.Errorf("PairsEmitted = %d, want 12 (no double counting)", faulty.Metrics.PairsEmitted)
 	}
+
+	// The same injection with a budget small enough that every emitted
+	// pair seals a spool section before its attempt fails: the output
+	// must still equal the naive reference, no aborted attempt's section
+	// may reach reduce, and the round must leave no spool or scratch
+	// file behind.
+	want := make(map[string]int)
+	for _, doc := range docs {
+		for _, w := range strings.Fields(doc) {
+			want[w]++
+		}
+	}
+	var ref []string
+	for _, w := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+		ref = append(ref, w+"="+itoa(want[w]))
+	}
+	dir := t.TempDir()
+	spilled, err := Run(wordCountRound(Config{
+		Workers: 3, MapChunk: 1, Partitions: 8, FailureEveryN: 2, MaxRetries: 3,
+		MemoryBudget: 2, SpillDir: dir, RecordLoads: true,
+	}), docs)
+	if err != nil {
+		t.Fatalf("spilled faulty run: %v", err)
+	}
+	if !reflect.DeepEqual(spilled.Outputs, ref) {
+		t.Errorf("spilled faulty outputs %v != reference %v", spilled.Outputs, ref)
+	}
+	if spilled.Metrics.MapRetries == 0 || spilled.Metrics.BytesSpilled == 0 {
+		t.Errorf("injection never aborted a spilled attempt: %+v", spilled.Metrics)
+	}
+	read := 0
+	for _, l := range spilled.Loads {
+		read += l
+	}
+	if read != 12 {
+		t.Errorf("reducers received %d pairs, want 12: an aborted attempt's sections reached reduce", read)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("spill dir after the round: %d files left (err %v), want none", len(left), err)
+	}
 }
 
 func TestFaultInjectionExhaustsRetries(t *testing.T) {
@@ -274,13 +315,14 @@ func TestBoundedMemorySurfacesInMetrics(t *testing.T) {
 	for i := range docs {
 		docs[i] = "w w w w"
 	}
-	res, err := Run(wordCountRound(Config{Partitions: 2, MaxBufferedPairs: 16}), docs)
+	// One map task owns the whole budget (one writer), and a single key
+	// means a single partition regardless of the hash seed, so the spill
+	// profile is exact: 200 pairs against a 16-pair budget seal 12 runs
+	// of 16, leaving an 8-pair tail.
+	res, err := Run(wordCountRound(Config{Partitions: 2, MemoryBudget: 16, MapChunk: len(docs)}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A single key means a single partition regardless of the hash
-	// seed, so the spill profile is exact: 200 pairs against a 16-pair
-	// budget seal 12 runs of 16, leaving 8 live.
 	if res.Metrics.SpillEvents != 12 || res.Metrics.SpilledPairs != 192 {
 		t.Errorf("spill profile = %d events, %d pairs; want 12 and 192: %+v",
 			res.Metrics.SpillEvents, res.Metrics.SpilledPairs, res.Metrics)
@@ -330,6 +372,11 @@ func TestDiskSpillThroughEngine(t *testing.T) {
 	}
 	if spill.Metrics.MaxLivePairs > 8 {
 		t.Errorf("MaxLivePairs = %d exceeds the 8-pair budget", spill.Metrics.MaxLivePairs)
+	}
+	// The whole-round memory bound: the two workers' task writers share
+	// the budget, so at most P*MemoryBudget pairs are ever resident.
+	if peak, bound := spill.Metrics.PeakResidentPairs, int64(4*8); peak <= 0 || peak > bound {
+		t.Errorf("PeakResidentPairs = %d, want in (0, %d] (P*MemoryBudget)", peak, bound)
 	}
 	if spill.Metrics.ReduceRetries == 0 {
 		t.Error("ReduceRetries = 0: injection should have retried a streamed reduce")

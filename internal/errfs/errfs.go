@@ -183,7 +183,7 @@ func (f *faultFile) Close() error {
 // injected Mmap or Madvise failure must push the reader onto the
 // pread fallback — the march in internal/shuffle asserts that.
 
-func (f *faultFile) Mmap(length int64) ([]byte, error) {
+func (f *faultFile) Mmap(off, length int64) ([]byte, error) {
 	if err := f.fs.check(OpMmap); err != nil {
 		return nil, err
 	}
@@ -191,7 +191,7 @@ func (f *faultFile) Mmap(length int64) ([]byte, error) {
 	if !ok {
 		return nil, runfile.ErrNoMmap
 	}
-	return m.Mmap(length)
+	return m.Mmap(off, length)
 }
 
 func (f *faultFile) Madvise(data []byte) error {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Edge is an undirected edge with U < V.
@@ -23,9 +24,10 @@ func NewEdge(a, b int) Edge {
 
 // Graph is a simple undirected graph on nodes 0..N-1.
 type Graph struct {
-	N     int
-	Edges []Edge
-	adj   [][]int // lazily built adjacency lists, sorted
+	N       int
+	Edges   []Edge
+	adj     [][]int   // lazily built adjacency lists, sorted
+	adjOnce sync.Once // guards the lazy build: reducers share one graph
 }
 
 // New builds a graph from an edge list, dropping duplicates and loops.
@@ -54,7 +56,7 @@ func (g *Graph) M() int { return len(g.Edges) }
 
 // Adj returns the sorted adjacency list of node u.
 func (g *Graph) Adj(u int) []int {
-	if g.adj == nil {
+	g.adjOnce.Do(func() {
 		g.adj = make([][]int, g.N)
 		for _, e := range g.Edges {
 			g.adj[e.U] = append(g.adj[e.U], e.V)
@@ -63,7 +65,7 @@ func (g *Graph) Adj(u int) []int {
 		for _, l := range g.adj {
 			sort.Ints(l)
 		}
-	}
+	})
 	return g.adj[u]
 }
 

@@ -10,7 +10,7 @@ import (
 // Differential testing of the whole data path: for randomized
 // workloads — random key/value types, partition counts, memory
 // budgets, worker counts, chunk sizes, combiner on or off, batch
-// reduce path on or off, streaming versus legacy shuffle ingestion —
+// reduce path on or off, range splitting on or off —
 // the executor's outputs and logical metrics must be identical to a
 // naive single-map reference executor, and identical with disk spill
 // forced on versus off. The physical profile (partition placement,
@@ -48,14 +48,13 @@ func referenceRun[I any, K comparable, V, O any](j *Job[I, K, V, O], inputs []I)
 }
 
 // randomConfig draws execution parameters that must not change
-// results, including the streaming-vs-legacy ingestion toggle.
+// results.
 func randomConfig(rng *rand.Rand) Config {
 	partitions := []int{0, 1, 2, 4, 8, 32}[rng.Intn(6)]
 	return Config{
-		Workers:     1 + rng.Intn(4),
-		MapChunk:    rng.Intn(6), // 0 = automatic
-		Partitions:  partitions,
-		LegacyMerge: rng.Intn(2) == 0,
+		Workers:    1 + rng.Intn(4),
+		MapChunk:   rng.Intn(6), // 0 = automatic
+		Partitions: partitions,
 	}
 }
 
@@ -112,31 +111,6 @@ func checkDifferential[I any, K comparable, V, O any](
 	}
 	if metS.MaxLivePairs > spillCfg.MemoryBudget {
 		t.Fatalf("%s: MaxLivePairs %d exceeds budget %d", trial, metS.MaxLivePairs, spillCfg.MemoryBudget)
-	}
-
-	// Streaming vs legacy ingestion on the spilled config: flipping the
-	// data path must change nothing observable — same outputs, same
-	// logical metrics — even though spill boundaries, fencing and run
-	// counts differ wildly between the two. (checkDifferential only
-	// runs combiner-free jobs, so comparing PairsShuffled is sound; a
-	// combiner's post-combine count depends on where the combiner ran,
-	// which legitimately differs between the paths.)
-	flipCfg := spillCfg
-	flipCfg.LegacyMerge = !spillCfg.LegacyMerge
-	outF, metF, err := mk(flipCfg).Run(inputs)
-	if err != nil {
-		t.Fatalf("%s: flipped-ingestion run: %v", trial, err)
-	}
-	if !reflect.DeepEqual(outF, outS) {
-		t.Fatalf("%s: streaming/legacy outputs diverge (legacy=%v)\ngot  %v\nwant %v",
-			trial, flipCfg.LegacyMerge, outF, outS)
-	}
-	if metF.PairsEmitted != metS.PairsEmitted || metF.PairsShuffled != metS.PairsShuffled ||
-		metF.Reducers != metS.Reducers || metF.MaxReducerInput != metS.MaxReducerInput {
-		t.Fatalf("%s: streaming/legacy logical metrics diverge\none %+v\nother %+v", trial, metS, metF)
-	}
-	if metF.MaxLivePairs > spillCfg.MemoryBudget {
-		t.Fatalf("%s: flipped MaxLivePairs %d exceeds budget %d", trial, metF.MaxLivePairs, spillCfg.MemoryBudget)
 	}
 
 	// Range-split reduce on the spilled config: cutting heavy partitions

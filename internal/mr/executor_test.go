@@ -132,14 +132,15 @@ func TestBoundedMemoryModeThroughJob(t *testing.T) {
 	for i := range docs {
 		docs[i] = "x y"
 	}
-	job := wordCountJob(Config{Partitions: 2, MaxBufferedPairs: 8})
+	job := wordCountJob(Config{Partitions: 2, MemoryBudget: 8, Workers: 1, MapChunk: len(docs)})
 	out, met, err := job.Run(docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 128 pairs against an 8-pair budget seal exactly 16 runs whether
-	// the two keys share a partition (16 seals there) or split (8
-	// each), so the spill profile is exact despite hash placement.
+	// One map task writing under the whole budget: 128 pairs against an
+	// 8-pair budget seal exactly 16 runs whether the two keys share a
+	// partition (16 seals there) or split (8 each), so the spill profile
+	// is exact despite hash placement.
 	if met.SpillEvents != 16 || met.SpilledPairs != 128 {
 		t.Errorf("spill profile = %d events, %d pairs; want 16 and 128", met.SpillEvents, met.SpilledPairs)
 	}
@@ -212,7 +213,7 @@ func TestPinnedSeedMakesPhysicalProfileDeterministic(t *testing.T) {
 	defer restore()
 
 	docs := []string{"a b c d e f g h i j k l m n o p", "a b c d a b c d"}
-	cfg := Config{Partitions: 4, Workers: 2, MaxBufferedPairs: 4}
+	cfg := Config{Partitions: 4, Workers: 2, MemoryBudget: 4}
 	_, met1, err := wordCountJob(cfg).Run(docs)
 	if err != nil {
 		t.Fatal(err)
@@ -340,11 +341,10 @@ func TestRunPipelineTypeMismatch(t *testing.T) {
 func TestStreamingMemoryBoundThroughJob(t *testing.T) {
 	// The whole-round bounded-memory guarantee on the public Job API: a
 	// dataset many times the total budget, mapped by concurrent workers
-	// on the default streaming path, keeps peak resident pairs within
-	// P*MemoryBudget + workers*BlockPairs (BlockPairs defaults to half
-	// the budget), and reports the map/spill overlap metrics.
+	// whose task writers share the budget, keeps peak resident pairs
+	// within P*MemoryBudget, and reports the seal time overlapped with
+	// mapping.
 	const parts, budget, workers = 2, 64, 4
-	blockPairs := budget / 2
 	docs := make([]string, 16*parts*budget)
 	for i := range docs {
 		docs[i] = "k" + itoa(i%23)
@@ -368,7 +368,7 @@ func TestStreamingMemoryBoundThroughJob(t *testing.T) {
 	if met.BytesSpilled == 0 {
 		t.Fatal("16x-budget dataset never spilled")
 	}
-	bound := int64(parts*budget + workers*blockPairs)
+	bound := int64(parts * budget)
 	if met.PeakResidentPairs <= 0 || met.PeakResidentPairs > bound {
 		t.Errorf("PeakResidentPairs = %d, want in (0, %d]: whole-round residency must track the budget, not the %d-pair dataset",
 			met.PeakResidentPairs, bound, len(docs))
@@ -376,23 +376,7 @@ func TestStreamingMemoryBoundThroughJob(t *testing.T) {
 	if met.SpillOverlapNs <= 0 {
 		t.Error("SpillOverlapNs = 0: no shuffle work overlapped the map phase")
 	}
-
-	// The legacy barrier on the same workload: identical outputs, but
-	// no overlapped shuffle work — the whole dataset sits in task
-	// buffers (outside the shuffle's residency metric) until the
-	// post-map merge.
-	legacy := *job
-	legacy.Config.LegacyMerge = true
-	legacy.Config.SpillDir = t.TempDir()
-	outL, metL, err := legacy.Run(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(outL, out) {
-		t.Fatalf("legacy outputs diverge: %v vs %v", outL, out)
-	}
-	if metL.SpillOverlapNs != 0 || metL.FinishDrainNs != 0 {
-		t.Errorf("legacy path reported streaming overlap (%d ns overlap, %d ns drain), want 0",
-			metL.SpillOverlapNs, metL.FinishDrainNs)
+	if met.SwapBytes != 0 || met.FinishDrainNs != 0 {
+		t.Errorf("SwapBytes = %d, FinishDrainNs = %d; both must read 0", met.SwapBytes, met.FinishDrainNs)
 	}
 }

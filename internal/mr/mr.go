@@ -19,8 +19,8 @@
 // fault-tolerance path that defines MapReduce.
 //
 // Execution happens on the partitioned shuffle executor (internal/engine
-// over internal/shuffle): map tasks pre-bucket their output into P hash
-// partitions, the exchange merges one goroutine per partition, and reduce
+// over internal/shuffle): map tasks write their output into P hash
+// partitions as sorted runs, committed in task order, and reduce
 // partitions — not single keys — are scheduled onto workers with the LPT
 // balancer of the paper's footnote 4. Job is the stable typed veneer over
 // that subsystem; its outputs remain in global deterministic key order and
@@ -86,15 +86,13 @@ type Config struct {
 	// selects shuffle.DefaultPartitions().
 	Partitions int
 
-	// MemoryBudget is the per-partition memory budget, in buffered
-	// pairs: a shuffle partition whose live buffer reaches the budget
-	// seals its run, so live buffered pairs never exceed the budget.
-	// Together with SpillDir this makes datasets much larger than
-	// memory executable; alone it reports spill pressure with sealed
-	// runs kept in memory. MaxBufferedPairs is the older alias for the
-	// same knob, honored when MemoryBudget is zero.
-	MemoryBudget     int
-	MaxBufferedPairs int
+	// MemoryBudget is the per-partition memory budget, in pairs, shared
+	// by the concurrently running map tasks: each seals a partition's
+	// live buffer at its share of the budget. Together with SpillDir
+	// this makes datasets much larger than memory executable — the
+	// pairs held in memory stay at or under P*MemoryBudget — and alone
+	// it reports spill pressure with sealed runs kept in memory.
+	MemoryBudget int
 
 	// SpillDir, when set together with MemoryBudget, directs sealed
 	// runs to temp run files under this directory (deleted when the
@@ -106,7 +104,7 @@ type Config struct {
 	SpillDir string
 
 	// CompactionConcurrency sizes the background worker pool that
-	// compacts spill runs while streaming ingestion continues: zero
+	// compacts spill runs while mapping continues: zero
 	// selects the runtime default, negative compacts inline with
 	// sealing. SpoolRotateBytes bounds how many dead (compacted or
 	// aborted) bytes a spill spool file may accumulate before the
@@ -154,20 +152,9 @@ type Config struct {
 	// Zero means 2 when FailureEveryN is set.
 	MaxRetries int
 
-	// LegacyMerge opts the job out of streaming shuffle ingestion (map
-	// workers flushing blocks into the exchange while mapping) and back
-	// onto the collect-then-merge barrier. Outputs, PairsEmitted,
-	// Reducers and MaxReducerInput are identical either way; only the
-	// physical profile (resident memory, spill timing) differs. With a
-	// Combine func, PairsShuffled — a post-combine count — depends on
-	// where the combiner was applied and, like spill-on vs spill-off,
-	// is comparable only within one configuration. Intended for tests
-	// and benchmarks comparing the two data paths.
-	LegacyMerge bool
-
 	// Recorder, when non-nil, captures the job's round as a timeline:
-	// phase boundaries, per-worker map/reduce task spans, and the
-	// shuffle's seal/fence/compaction/merge activity per partition.
+	// phase boundaries, per-worker map/reduce task spans with their
+	// seals, and the shuffle's compactions and reduce merges.
 	// Export after Run with obs.WriteTrace (Chrome trace JSON) or feed
 	// the job's Metrics to a registry with Metrics.PublishTo. Nil (the
 	// default) records nothing and costs nothing on the data path.
@@ -181,13 +168,14 @@ type Config struct {
 	// with RegisterProc in both the driver and worker binaries (by
 	// default the same binary, re-executed; see proc.MaybeWorker).
 	// Workers, MapChunk, Partitions, MaxReducerInput, MemoryBudget and
-	// Recorder carry over — each map worker runs its own streaming
-	// shuffle under the budget, sealing sorted spool sections mid-task,
+	// Recorder carry over — each map worker seals its task's output into
+	// sorted spool sections under the budget, mid-task, through the same
+	// task writer the in-process shuffle uses,
 	// and reduce workers merge-read the committed sections, so worker
 	// residency obeys the same bound the in-process engine proves
 	// (Metrics.PeakResidentPairs reports the worst attempt). Spilling
 	// needs no SpillDir here: the spool files ARE the spill. Remaining
-	// in-process knobs (SpillDir, CompactionConcurrency, LegacyMerge,
+	// in-process knobs (SpillDir, CompactionConcurrency,
 	// FailureEveryN, ...) do not apply in this mode. Outputs are
 	// identical either way.
 	ProcMode bool
@@ -283,22 +271,22 @@ type Metrics struct {
 	IndexBytesSpilled int64
 	RunsMerged        int64
 	DiskBytesRead     int64
-	// SwapBytes is pressure-relief traffic the streaming path staged to
-	// swap stash files and read back verbatim — bookkeeping, reported
-	// separately so BytesSpilled stays the deterministic communication
-	// cost. BytesReclaimed is the total size of spill files deleted
-	// while the job was still running (spool rotation, compaction
-	// retiring inputs): disk returned before teardown.
+	// BytesReclaimed is the total size of spill files deleted while the
+	// job was still running (spool rotation, compaction retiring
+	// inputs): disk returned before teardown. SwapBytes always reads 0:
+	// the runtime writes each pair across the map→reduce boundary once
+	// and has no swap stash; the field stays for readers of earlier
+	// metrics.
 	SwapBytes      int64
 	BytesReclaimed int64
 	MaxLivePairs   int
 	// PeakResidentPairs is the whole-round high-water mark of pairs
-	// resident in shuffle memory. On the default streaming path with a
-	// SpillDir it stays bounded by P*MemoryBudget plus one block per
-	// map worker — the dataset size never enters the bound.
-	// SpillOverlapNs is shuffle absorb/seal/spill work that overlapped
-	// still-running map tasks; FinishDrainNs is the residual post-map
-	// drain. Both are zero under Config.LegacyMerge.
+	// resident in shuffle memory. With a SpillDir it stays at or under
+	// P*MemoryBudget — the dataset size never enters the bound.
+	// SpillOverlapNs is the time map tasks spent sealing and spilling
+	// runs, all of it overlapped with mapping. FinishDrainNs always
+	// reads 0: no post-map drain exists; the field stays for readers of
+	// earlier metrics.
 	PeakResidentPairs int64
 	SpillOverlapNs    int64
 	FinishDrainNs     int64
@@ -397,10 +385,10 @@ func (m Metrics) PublishTo(reg *obs.Registry) {
 	reg.Counter("mr_bytes_spilled_total", "run data bytes written to spill files").Add(m.BytesSpilled)
 	reg.Counter("mr_index_bytes_spilled_total", "footer-index bytes written to spill files").Add(m.IndexBytesSpilled)
 	reg.Counter("mr_disk_bytes_read_total", "bytes read back from spill files").Add(m.DiskBytesRead)
-	reg.Counter("mr_swap_bytes_total", "pressure-relief bytes staged to swap stash files").Add(m.SwapBytes)
+	reg.Counter("mr_swap_bytes_total", "swap stash bytes (always 0: each pair crosses the boundary once)").Add(m.SwapBytes)
 	reg.Counter("mr_bytes_reclaimed_total", "spill file bytes deleted while the job was still running").Add(m.BytesReclaimed)
 	reg.Counter("mr_spill_overlap_ns_total", "nanoseconds of spill work overlapped with mapping").Add(m.SpillOverlapNs)
-	reg.Counter("mr_finish_drain_ns_total", "nanoseconds spent in the post-map finish drain").Add(m.FinishDrainNs)
+	reg.Counter("mr_finish_drain_ns_total", "post-map drain nanoseconds (always 0: no drain exists)").Add(m.FinishDrainNs)
 
 	reg.Gauge("mr_round_reducers", "distinct reduce keys of the last round").Set(float64(m.Reducers))
 	reg.Gauge("mr_round_max_reducer_input", "largest reducer input of the last round (realized q)").Set(float64(m.MaxReducerInput))
@@ -472,7 +460,6 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 			MapChunk:               j.Config.MapChunk,
 			Partitions:             j.Config.Partitions,
 			MemoryBudget:           j.Config.MemoryBudget,
-			MaxBufferedPairs:       j.Config.MaxBufferedPairs,
 			SpillDir:               j.Config.SpillDir,
 			CompactionConcurrency:  j.Config.CompactionConcurrency,
 			SpoolRotateBytes:       j.Config.SpoolRotateBytes,
@@ -483,7 +470,6 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 			RecordKeys:             j.Config.ReduceWorkersHint > 0,
 			FailureEveryN:          j.Config.FailureEveryN,
 			MaxRetries:             j.Config.MaxRetries,
-			LegacyMerge:            j.Config.LegacyMerge,
 			Recorder:               j.Config.Recorder,
 		},
 	}
@@ -515,12 +501,10 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 		IndexBytesSpilled: res.Metrics.IndexBytesSpilled,
 		RunsMerged:        res.Metrics.RunsMerged,
 		DiskBytesRead:     res.Metrics.DiskBytesRead,
-		SwapBytes:         res.Metrics.SwapBytes,
 		BytesReclaimed:    res.Metrics.BytesReclaimed,
 		MaxLivePairs:      res.Metrics.MaxLivePairs,
 		PeakResidentPairs: res.Metrics.PeakResidentPairs,
 		SpillOverlapNs:    res.Metrics.SpillOverlapNs,
-		FinishDrainNs:     res.Metrics.FinishDrainNs,
 		ReduceRanges:      res.Metrics.ReduceRanges,
 		ReduceRangeSkew:   res.Metrics.ReduceRangeSkew,
 		ReducerInputLog2:  res.Metrics.ReducerInputLog2,

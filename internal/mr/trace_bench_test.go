@@ -9,11 +9,11 @@ import (
 )
 
 // BenchmarkStreamingTrace1M runs a ~1M-pair word count through the
-// streaming data path with the recorder armed and proves the pipeline
-// overlap is real: the exported timeline must show map-task spans
-// (worker lanes) overlapping the shuffle's seal/fence/compaction spans
-// (partition lanes) — the span-level view of the SpillOverlapNs the
-// metrics report. With MRTRACE_OUT set, the last round's trace is
+// map-side data plane with the recorder armed and proves the overlap
+// is real: the exported timeline must show map-task spans overlapping
+// the seal spans their task writers record (worker lanes) and the
+// background compactions (compactor lanes) — the span-level view of
+// the SpillOverlapNs the metrics report. With MRTRACE_OUT set, the last round's trace is
 // written there as Chrome trace-event JSON (scripts/bench.sh sets it
 // to BENCH_trace_streaming.json and CI uploads the artifact).
 func BenchmarkStreamingTrace1M(b *testing.B) {
@@ -40,10 +40,10 @@ func BenchmarkStreamingTrace1M(b *testing.B) {
 
 		snap := rec.Snapshot()
 		mapSpans := obs.SpanIntervals(snap, obs.OpMapTask)
-		spillSpans := obs.SpanIntervals(snap, obs.OpSeal, obs.OpFence, obs.OpCompact)
+		spillSpans := obs.SpanIntervals(snap, obs.OpSeal, obs.OpCompact)
 		overlap := obs.OverlapNs(mapSpans, spillSpans)
 		if overlap == 0 {
-			b.Fatal("trace shows no map-task/spill overlap: the streaming pipeline serialized")
+			b.Fatal("trace shows no map-task/spill overlap: sealing serialized behind mapping")
 		}
 		if met.SpillOverlapNs == 0 {
 			b.Fatal("Metrics.SpillOverlapNs = 0 despite overlapping trace spans")

@@ -1,6 +1,6 @@
 // Package obs is the runtime's observability layer: a low-overhead
-// event recorder for the round lifecycle (map tasks, block flushes,
-// seals, fences, compactions, reduce merges, phase boundaries) plus two
+// event recorder for the round lifecycle (map tasks, seals, aborts,
+// compactions, reduce merges, phase boundaries) plus two
 // exporters — Chrome trace-event JSON (Perfetto-loadable timelines, one
 // lane per worker and per partition) and a Prometheus text-format
 // metrics registry with an optional HTTP endpoint.
@@ -64,20 +64,15 @@ const (
 	// failure else 0.
 	OpReduceTask
 
-	// OpBlockFlush marks one streaming block staged into a partition.
-	// Partition lane, instant. A = task, B = pairs in the block.
-	OpBlockFlush
-	// OpSeal spans closing a partition's live run (to disk or to the
-	// in-memory run list). Partition lane. Begin A = live pairs; End
-	// A = pairs sealed, B = 1 on failure else 0.
+	// OpSeal spans a task writer sealing one partition's live run (to
+	// its spool or to an in-memory run). Worker lane. Begin A = pairs
+	// sealed; End A = pairs sealed, B = 1 on failure else 0.
 	OpSeal
-	// OpFence spans pressure-relief fencing of staged runs to the spool.
-	// Partition lane. End A = pairs fenced, B = 1 on failure else 0.
-	OpFence
-	// OpFenceAbort marks a task attempt's staged data being discarded.
-	// Partition lane, instant. A = task, B = attempt.
+	// OpFenceAbort marks a task attempt's runs being discarded. Worker
+	// lane, instant. A = task, B = attempt.
 	OpFenceAbort
-	// OpCompact spans a disk-run compaction. Partition lane. Begin
+	// OpCompact spans a disk-run compaction. Compactor lane, or the
+	// committing worker's lane when compaction runs inline. Begin
 	// A = input runs; End A = output pairs, B = 1 on failure else 0.
 	OpCompact
 	// OpReduceMerge spans a reduce-time k-way merge holding its run
@@ -128,9 +123,7 @@ var opNames = [numOps]struct{ name, a, b string }{
 	OpPhaseReduce:  {"phase:reduce", "partitions", ""},
 	OpMapTask:      {"map-task", "task", "attempt"},
 	OpReduceTask:   {"reduce-task", "partition", "attempt"},
-	OpBlockFlush:   {"block-flush", "task", "pairs"},
 	OpSeal:         {"seal", "pairs", "err"},
-	OpFence:        {"fence", "pairs", "err"},
 	OpFenceAbort:   {"fence-abort", "task", "attempt"},
 	OpCompact:      {"compact", "runs", "err"},
 	OpReduceMerge:  {"reduce-merge", "runs", "err"},

@@ -19,7 +19,7 @@ func TestNilRecorderNoops(t *testing.T) {
 	// All of these must be safe no-ops.
 	lane.Begin(OpMapTask, 1, 2)
 	lane.End(OpMapTask, 0, 0)
-	lane.Instant(OpBlockFlush, 3, 4)
+	lane.Instant(OpFenceAbort, 3, 4)
 	if got := lane.Dropped(); got != 0 {
 		t.Fatalf("nil lane Dropped() = %d", got)
 	}
@@ -48,7 +48,7 @@ func TestRingWrapCountsDrops(t *testing.T) {
 	rec := NewRecorder(cap)
 	lane := rec.Lane(LaneWorker, 0)
 	for i := 0; i < cap+5; i++ {
-		lane.Instant(OpBlockFlush, int64(i), 0)
+		lane.Instant(OpFenceAbort, int64(i), 0)
 	}
 	if got := lane.Dropped(); got != 5 {
 		t.Fatalf("Dropped() = %d, want 5", got)
@@ -74,7 +74,7 @@ func TestConcurrentEmitRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				lane.Begin(OpMapTask, int64(i), 0)
-				lane.Instant(OpBlockFlush, int64(i), 1)
+				lane.Instant(OpFenceAbort, int64(i), 1)
 				lane.End(OpMapTask, int64(i), 0)
 			}
 		}(lane, w)
@@ -94,10 +94,10 @@ func TestConcurrentEmitRace(t *testing.T) {
 
 func TestSnapshotOrdersLanes(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.Lane(LanePartition, 1).Instant(OpBlockFlush, 0, 0)
-	rec.Lane(LaneWorker, 2).Instant(OpBlockFlush, 0, 0)
-	rec.Lane(LaneRound, 0).Instant(OpBlockFlush, 0, 0)
-	rec.Lane(LaneWorker, 0).Instant(OpBlockFlush, 0, 0)
+	rec.Lane(LanePartition, 1).Instant(OpFenceAbort, 0, 0)
+	rec.Lane(LaneWorker, 2).Instant(OpFenceAbort, 0, 0)
+	rec.Lane(LaneRound, 0).Instant(OpFenceAbort, 0, 0)
+	rec.Lane(LaneWorker, 0).Instant(OpFenceAbort, 0, 0)
 	snap := rec.Snapshot()
 	var got []string
 	for _, ls := range snap {
@@ -117,7 +117,7 @@ func TestWriteTraceValidates(t *testing.T) {
 
 	round.Begin(OpPhaseMap, 4, 0)
 	w0.Begin(OpMapTask, 0, 1)
-	p0.Instant(OpBlockFlush, 0, 256)
+	p0.Instant(OpFenceAbort, 0, 256)
 	p0.Begin(OpSeal, 256, 0)
 	p0.End(OpSeal, 256, 0)
 	w0.End(OpMapTask, 256, 0)
@@ -131,7 +131,7 @@ func TestWriteTraceValidates(t *testing.T) {
 		t.Fatalf("ValidateTrace: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{`"map-task"`, `"seal"`, `"block-flush"`, `"phase:map"`, `"process_name"`, `"thread_name"`} {
+	for _, want := range []string{`"map-task"`, `"seal"`, `"fence-abort"`, `"phase:map"`, `"process_name"`, `"thread_name"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %s", want)
 		}
@@ -144,7 +144,7 @@ func TestWriteTraceDropsOrphanSpans(t *testing.T) {
 	lane.Begin(OpSeal, 1, 0) // never closed (simulates wrap losing the End)
 	lane.Begin(OpCompact, 2, 0)
 	lane.End(OpCompact, 2, 0)
-	lane.End(OpFence, 0, 0) // End without Begin
+	lane.End(OpReduceMerge, 0, 0) // End without Begin
 
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, rec); err != nil {
@@ -156,7 +156,7 @@ func TestWriteTraceDropsOrphanSpans(t *testing.T) {
 	if strings.Contains(buf.String(), `"seal"`) {
 		t.Errorf("orphan Begin leaked into trace:\n%s", buf.String())
 	}
-	if strings.Contains(buf.String(), `"fence"`) {
+	if strings.Contains(buf.String(), `"reduce-merge"`) {
 		t.Errorf("orphan End leaked into trace:\n%s", buf.String())
 	}
 }
@@ -212,7 +212,7 @@ func TestSpanIntervalsAndOverlap(t *testing.T) {
 	w.End(OpMapTask, 0, 0)
 	snap := rec.Snapshot()
 	mapIv := SpanIntervals(snap, OpMapTask)
-	sealIv := SpanIntervals(snap, OpSeal, OpFence, OpCompact)
+	sealIv := SpanIntervals(snap, OpSeal, OpCompact)
 	if len(mapIv) != 1 || len(sealIv) != 1 {
 		t.Fatalf("intervals: map=%v seal=%v", mapIv, sealIv)
 	}

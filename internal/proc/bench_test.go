@@ -11,8 +11,9 @@ import (
 // high-water mark next to the bound the budget promises:
 //
 //	proc-peak-resident-pairs  worst buffered-pair count any worker saw
-//	proc-peak-bound           8×budget + one staging block, or the
-//	                          largest reduce group if that is bigger
+//	proc-peak-bound           P×budget (P = 8, the worker shuffle's
+//	                          partitions), or the largest reduce group
+//	                          if that is bigger
 //
 // scripts/benchcmp gates peak <= bound on every artifact (absolute, no
 // previous run needed), so a change that quietly re-materializes task
@@ -34,7 +35,7 @@ func BenchmarkProcRound(b *testing.B) {
 		if !reflect.DeepEqual(outs, refWordCount(lines, 5)) {
 			b.Fatal("benchmark round diverges from reference")
 		}
-		bound := int64(8*budget + 16)
+		bound := int64(8 * budget)
 		if met.MaxReducerInput > bound {
 			bound = met.MaxReducerInput
 		}

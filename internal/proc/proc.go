@@ -14,18 +14,24 @@
 // same primitive — grant a duplicate attempt of the slowest in-flight
 // task, first completion wins.
 //
-// The data plane is crash-tolerant by construction. A map worker
-// appends each task's output as sorted run-file sections of its
-// per-partition spool files, then commits the task by appending one
-// record to its manifest before reporting. Bytes written to a file
-// survive kill -9 (they are in the kernel regardless of process death),
-// so on a worker's death the driver salvages tasks that completed but
-// never reported: it replays the manifest and adopts sections that
-// validate — runfile.LoadIndex falls back from a torn footer to a
-// sequential scan, and the recovered group/pair counts must match the
-// manifest's. Anything torn or unaccounted is discarded and the task
-// re-executed; map functions are required to be deterministic, so the
-// job's output is byte-identical either way.
+// The data plane is the in-process one, crash-tolerant by
+// construction. A map worker writes each task through the shuffle's
+// task writer, appending every sealed run as a sorted run-file section
+// of its per-partition spool files, then commits the task by appending
+// one record to its manifest before reporting; a reduce worker adopts
+// its committed sections and reads them through the shuffle's
+// RangeReader merge. Bytes written to a file survive kill -9 (they are
+// in the kernel regardless of process death), so on a worker's death
+// the driver salvages tasks that completed but never reported: it
+// replays the manifest and adopts sections that validate —
+// runfile.LoadIndex falls back from a torn footer to a sequential scan,
+// and the recovered group/pair counts must match the manifest's.
+// Anything torn or unaccounted is discarded and the task re-executed;
+// map functions are required to be deterministic, so the job's output
+// is byte-identical either way. The runtime is process-crash durable
+// (the kill -9 matrix) but not power-loss durable: nothing calls
+// fsync, so data the kernel has not yet written back can be lost with
+// the machine.
 //
 // Because map and reduce run in different processes, key placement
 // cannot use the in-process maphash seed; partitioning uses
@@ -90,8 +96,9 @@ type Options struct {
 	// MemoryBudget bounds each map worker's buffered pairs per partition:
 	// a partition whose live run reaches this many pairs is sealed
 	// (combined, sorted) and written to the spool as one section, inside
-	// the worker, mid-task. Zero disables the bound — each task writes
-	// one section per non-empty partition, all of it resident at once.
+	// the worker, mid-task, so a worker holds at most P*MemoryBudget
+	// pairs. Zero disables the bound — each task writes one section per
+	// non-empty partition, all of it resident at once.
 	MemoryBudget int
 	// Dir is the job's scratch directory (inputs, spools, outputs,
 	// manifests, socket). Empty creates a temp dir, removed when the
@@ -244,10 +251,11 @@ type Metrics struct {
 
 	// PeakResidentPairs is the largest buffered-pair high-water mark any
 	// accepted (or salvaged) task attempt observed inside a worker: map
-	// attempts report their shuffle's resident peak, reduce attempts the
-	// largest single group the merge held decoded. With a MemoryBudget
-	// set this stays near P*MemoryBudget + BlockPairs regardless of
-	// input size — the bound the paper's q-tradeoff needs enforced.
+	// attempts report their task writer's resident peak, reduce attempts
+	// the largest single group the merge held decoded. With a
+	// MemoryBudget set the map side stays at or under P*MemoryBudget
+	// regardless of input size — the bound the paper's q-tradeoff needs
+	// enforced.
 	PeakResidentPairs int64
 
 	// ReduceRanges is the total key-range units accepted reduce attempts
@@ -278,11 +286,12 @@ type runnable interface {
 	// returning it opaquely plus the record count.
 	loadInputs(path string) (any, int, error)
 	// runMapTask maps records [lo, hi) of the loaded inputs through a
-	// streaming shuffle under the task's MemoryBudget, appending each
+	// shuffle task writer under the task's MemoryBudget, appending each
 	// sealed run to the worker's spools as one fenced section.
 	runMapTask(ws *workerState, inputs any, t Task) (MapReport, error)
-	// runReduceTask merge-reads the task's sections, reduces every
-	// group as it surfaces, and writes the partition's output file.
+	// runReduceTask adopts the task's sections into a shuffle partition,
+	// merge-reads them, reduces every group as it surfaces, and writes
+	// the partition's output file.
 	runReduceTask(ws *workerState, t Task) (ReduceReport, error)
 }
 

@@ -255,10 +255,11 @@ func testProcRunClean(t *testing.T, budget int) {
 		t.Errorf("PeakResidentPairs = %d, want > 0", met.PeakResidentPairs)
 	}
 	if budget > 0 {
-		// Map side: 8 internal partitions (5 rounded up) × budget, plus
-		// one staging block (min 16 pairs). Reduce side: the largest
-		// single group, which merge-read cannot shrink below.
-		mapBound := int64(8*budget + 16)
+		// Map side: P*MemoryBudget, with P the worker shuffle's 8
+		// internal partitions (5 rounded up) — one task writer holds the
+		// whole budget. Reduce side: the largest single group, which
+		// merge-read cannot shrink below.
+		mapBound := int64(8 * budget)
 		bound := mapBound
 		if met.MaxReducerInput > bound {
 			bound = met.MaxReducerInput

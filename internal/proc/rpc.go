@@ -58,7 +58,7 @@ type Task struct {
 	Attempt int
 
 	// Map fields. MemoryBudget is the per-partition buffered-pair bound
-	// the worker's streaming shuffle must respect (0 = unbounded, one
+	// the worker's task writer must respect (0 = unbounded, one
 	// section per partition).
 	Lo, Hi       int
 	Partitions   int

@@ -131,68 +131,68 @@ func TestRunTaskStopsHeartbeatOnErrorPath(t *testing.T) {
 }
 
 // TestWorkerStreamingFaultMarch marches an injected I/O failure through
-// every filesystem call the worker-side streaming path makes under
-// memory pressure — the stash swaps and absorb read-backs between a map
-// task's emissions and its sealed spool sections. One long-running
-// sub-task (nothing absorbable until the end) forces the pressure path
-// through the injected FS; every outcome must be either success (the
-// fault was absorbable) or an error with ErrInjected still in the
-// chain. The sealed sections themselves go through the real filesystem
-// — exactly as in a worker process, where section faults are injected
-// by kill -9 instead.
+// every filesystem call of the worker data path's read half: a map task
+// under memory pressure seals multi-section spool output through the
+// task writer and sectionSink, and a reduce-side shuffle adopts those
+// sections and merge-reads them through the injected FS. Every outcome
+// must be either success with every pair read back (the fault was
+// survivable, e.g. an mmap falling back to pread) or an error with
+// ErrInjected still in the chain. The sections themselves go through
+// the real filesystem — exactly as in a worker process, where write
+// faults are injected by kill -9 instead.
 func TestWorkerStreamingFaultMarch(t *testing.T) {
 	lines := genLines(40)
+	dir := t.TempDir()
+	ws := &workerState{id: "w0", dir: dir, spools: newSpoolSet(dir, "w0")}
+	defer ws.spools.closeAll()
+	sink := &sectionSink[string, int]{ws: ws, task: 0, attempt: 0, seq: make(map[int]int)}
+	sh := shuffle.New[string, int](shuffle.Options{Partitions: 1, MemoryBudget: 8})
+	sh.SetSealSink(sink.write)
+	tw := sh.TaskWriters(1)[0]
+	tw.Begin(0, 0)
+	for _, line := range lines {
+		for _, w := range strings.Fields(line) {
+			tw.Emit(w, 1)
+		}
+	}
+	if err := tw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var images []shuffle.RunImage
+	var wantPairs int64
+	for _, sec := range sink.sections() {
+		images = append(images, shuffle.RunImage{Path: sec.Path, Offset: sec.Offset, Length: sec.Length, DataBytes: sec.DataBytes})
+		wantPairs += sec.Pairs
+	}
+	if len(images) < 2 {
+		t.Fatalf("%d sections; the budget never sealed mid-task", len(images))
+	}
 	run := func(fs runfile.FS) (int64, error) {
-		dir := t.TempDir()
-		ws := &workerState{id: "w0", dir: dir, spools: newSpoolSet(dir, "w0")}
-		defer ws.spools.closeAll()
-		sink := &sectionSink[string, int]{ws: ws, task: 0, attempt: 0, seq: make(map[int]int)}
-		sh := shuffle.New[string, int](shuffle.Options{
-			Partitions:       4,
-			MaxBufferedPairs: 8,
-			SpillDir:         t.TempDir(),
-			FS:               fs,
-		})
-		defer sh.Close()
-		sh.SetSealSink(sink.write)
-		in := sh.NewIngester()
-		tw := in.Task(0, 0)
-		for _, line := range lines {
-			for _, w := range strings.Fields(line) {
-				tw.Emit(w, 1)
-			}
-		}
-		if err := tw.Commit(); err != nil {
+		rd := shuffle.New[string, int](shuffle.Options{Partitions: 1, FS: fs})
+		if err := rd.Adopt(0, images); err != nil {
 			return 0, err
 		}
-		if err := in.Finish(); err != nil {
+		rr, err := rd.Partition(0).OpenRangeReader()
+		if err != nil {
 			return 0, err
 		}
-		if err := sh.SealAllLive(); err != nil {
-			return 0, err
-		}
+		defer rr.Close()
 		var pairs int64
-		for _, sec := range sink.sections() {
-			pairs += sec.Pairs
-		}
-		return pairs, nil
+		err = rr.ForEachGroupRange(shuffle.KeyRange[string]{}, true, func(_ string, vs []int) error {
+			pairs += int64(len(vs))
+			return nil
+		})
+		return pairs, err
 	}
 
-	// Counting pass: the pressure path must actually run, or the march
-	// below is vacuous.
 	probe := errfs.New(nil)
-	wantPairs, err := run(probe)
-	if err != nil {
-		t.Fatalf("fault-free streaming round failed: %v", err)
+	if got, err := run(probe); err != nil || got != wantPairs {
+		t.Fatalf("fault-free read-back: %d pairs, err %v; want %d", got, err, wantPairs)
 	}
-	if wantPairs <= 0 {
-		t.Fatal("no pairs reached the spool sections")
+	if probe.Calls(errfs.OpOpen) == 0 {
+		t.Fatal("read path never touched the injected FS; the march would be vacuous")
 	}
-	if probe.Calls(errfs.OpCreate) == 0 || probe.Calls(errfs.OpWrite) == 0 {
-		t.Fatal("pressure path never touched the injected FS; the march would be vacuous")
-	}
-
-	for _, op := range []errfs.Op{errfs.OpCreate, errfs.OpWrite, errfs.OpRead, errfs.OpReadAt, errfs.OpClose, errfs.OpRemove} {
+	for _, op := range []errfs.Op{errfs.OpOpen, errfs.OpRead, errfs.OpReadAt, errfs.OpMmap, errfs.OpClose} {
 		total := probe.Calls(op)
 		for nth := 1; nth <= total; nth++ {
 			fs := errfs.New(nil)

@@ -11,7 +11,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net/rpc"
 	"os"
 	"path/filepath"
@@ -349,14 +348,12 @@ func isFatal(err error) bool {
 	return errors.As(err, &f)
 }
 
-// sectionSink receives a map-task shuffle's sealed runs and writes each
-// as one fenced spool section — the seam that marries the streaming
-// data path's pressure relief to the per-task section + manifest commit
-// protocol. Seals arrive single-threaded while the task is mapping, but
-// Ingester.Finish drains partitions on parallel workers, so writes are
-// serialized under mu (the spool set shares one runfile.Writer).
+// sectionSink receives a map task's sealed runs and writes each as one
+// fenced spool section — the seam that marries the shuffle's task
+// writer (threshold sealing, combiner push-down) to the per-task
+// section + manifest commit protocol. Seals arrive on the task's one
+// goroutine.
 type sectionSink[K comparable, V any] struct {
-	mu      sync.Mutex
 	ws      *workerState
 	task    int
 	attempt int
@@ -369,8 +366,6 @@ type sectionSink[K comparable, V any] struct {
 // first section, matching the pre-streaming injection point: the spool
 // gets a headerful of bytes with no footer and no manifest record.
 func (sk *sectionSink[K, V]) write(part int, keys []K, groups map[K][]V) error {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
 	ws := sk.ws
 	arm := len(sk.secs) == 0
 	sec, err := ws.spools.appendSection(sk.task, sk.attempt, part, sk.seq[part], func(w *runfile.Writer) error {
@@ -408,9 +403,7 @@ func (sk *sectionSink[K, V]) write(part int, keys []K, groups map[K][]V) error {
 	return nil
 }
 
-// sections returns everything written, in (Part, Seq) order — the
-// parallel Finish drain interleaves partitions nondeterministically,
-// so the manifest must not record arrival order.
+// sections returns everything written, in (Part, Seq) order.
 func (sk *sectionSink[K, V]) sections() []Section {
 	sort.Slice(sk.secs, func(i, j int) bool {
 		if sk.secs[i].Part != sk.secs[j].Part {
@@ -421,17 +414,16 @@ func (sk *sectionSink[K, V]) sections() []Section {
 	return sk.secs
 }
 
-// runMapTask maps records [Lo, Hi) through a worker-local streaming
-// shuffle: pairs route through an Ingester under the job's
-// MemoryBudget, so pressure relief, combiner push-down, and
-// spill-as-sorted-sections all happen inside the worker, mid-task —
-// resident pairs stay bounded by P*MemoryBudget + BlockPairs instead
-// of the task's output size. Every sealed run lands in the spools as
-// one fenced section via sectionSink; the task then commits all its
-// sections with one manifest record before reporting (the manifest
-// write is still the task's durability point, and with MemoryBudget
-// zero the layout degenerates to the pre-streaming one section per
-// non-empty partition).
+// runMapTask maps records [Lo, Hi) through a worker-local shuffle's
+// task writer — the same one the in-process engine uses — with the
+// whole MemoryBudget as its seal threshold (one writer per process), so
+// combiner push-down and spill-as-sorted-sections happen inside the
+// worker, mid-task, and resident pairs stay at or under
+// P*MemoryBudget. Every sealed run, the tail included, lands in the
+// spools as one fenced section via sectionSink; the task then commits
+// all its sections with one manifest record before reporting (the
+// manifest write is the task's durability point, and with MemoryBudget
+// zero the layout degenerates to one section per non-empty partition).
 func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (MapReport, error) {
 	ins, ok := inputs.([]I)
 	if !ok {
@@ -443,20 +435,11 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	if err := ws.ensureManifest(); err != nil {
 		return MapReport{}, err
 	}
-	// The scratch dir holds only the shuffle's transient pressure-swap
-	// stash files, never committed sections — keeping it out of the job
-	// dir's spool namespace keeps spool accounting literal.
-	scratch := filepath.Join(ws.dir, "scratch-"+ws.id)
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		return MapReport{}, fmt.Errorf("proc: creating worker scratch dir: %w", err)
-	}
 	sh := shuffle.New[K, V](shuffle.Options{
-		Partitions:       t.Partitions,
-		MaxBufferedPairs: t.MemoryBudget,
-		SpillDir:         scratch,
-		Recorder:         ws.rec,
+		Partitions:   t.Partitions,
+		MemoryBudget: t.MemoryBudget,
+		Recorder:     ws.rec,
 	})
-	defer sh.Close()
 	var hasher shuffle.StableHasher[K]
 	var emitErr error
 	sh.SetPartitioner(func(k K) int {
@@ -475,34 +458,23 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	sink := &sectionSink[K, V]{ws: ws, task: t.ID, attempt: t.Attempt, seq: make(map[int]int)}
 	sh.SetSealSink(sink.write)
 
-	// One ingester sub-task per input record, committed in order: the
-	// watermark advances continuously, so absorption (and the seals it
-	// triggers) overlaps mapping and fires at deterministic points —
-	// the map loop is single-threaded, which is what makes re-executed
-	// attempts byte-identical.
-	in := sh.NewIngester()
+	tw := sh.TaskWriters(1)[0]
+	tw.Begin(t.ID, t.Attempt)
 	var pairsEmitted int64
-	for i := t.Lo; i < t.Hi; i++ {
-		tw := in.Task(i-t.Lo, 0)
+	for i := t.Lo; i < t.Hi && emitErr == nil; i++ {
 		j.spec.Map(ins[i], func(k K, v V) {
 			pairsEmitted++
-			if emitErr != nil {
-				return
+			if emitErr == nil {
+				tw.Emit(k, v)
 			}
-			tw.Emit(k, v)
 		})
-		if err := tw.Commit(); err != nil {
-			return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
-		}
-		if emitErr != nil {
-			return MapReport{}, fatal(fmt.Errorf("proc: partitioning map task %d: %w", t.ID, emitErr))
-		}
 	}
-	if err := in.Finish(); err != nil {
-		return MapReport{}, fmt.Errorf("proc: draining map task %d: %w", t.ID, err)
+	if emitErr != nil {
+		tw.Abort()
+		return MapReport{}, fatal(fmt.Errorf("proc: partitioning map task %d: %w", t.ID, emitErr))
 	}
-	if err := sh.SealAllLive(); err != nil {
-		return MapReport{}, fmt.Errorf("proc: final seal of map task %d: %w", t.ID, err)
+	if err := tw.Commit(); err != nil {
+		return MapReport{}, fmt.Errorf("proc: sealing map task %d: %w", t.ID, err)
 	}
 	secs := sink.sections()
 	peak := sh.PeakResidentPairs()
@@ -520,87 +492,76 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	}, nil
 }
 
-// runReduceTask streams a k-way merge over the partition's committed
-// sections — each a sorted run, ordered (Task, Attempt, Seq) by the
-// driver — reducing every group in canonical key order as it surfaces
-// and writing the partition's output file (gob: group count, then
-// outGroups). Only the sections' indexes and one decoded group are
-// resident at a time: the memory bound is the merge fan-in plus the
-// largest single group, not the partition size.
+// runReduceTask adopts the partition's committed sections — each a
+// sorted run, ordered (Task, Attempt, Seq) by the driver — as the disk
+// runs of a worker-local shuffle partition and streams them through
+// the shuffle's RangeReader heap merge, reducing every group in
+// canonical key order as it surfaces and writing the partition's
+// output file (gob: group count, then outGroups). Only the sections'
+// indexes and one decoded group per run are resident at a time: the
+// memory bound is the merge fan-in plus the largest single group, not
+// the partition size.
 //
-// With Task.ReduceSplitPairs set, the worker first plans class-aligned
-// key ranges from the sections' decoded indexes, slices every section
-// cursor per range, and runs the range merges concurrently — then
-// concatenates their groups in range order, so the output file is
+// With Task.ReduceSplitPairs set, the worker plans class-aligned key
+// ranges from the adopted indexes (PlanReduceRanges, no value read)
+// and runs the range merges concurrently over the shared read surface,
+// then concatenates their groups in range order, so the output file is
 // byte-identical to the unsplit merge. PeakResident stays the largest
-// single decoded group either way (each range holds at most one), but
-// a split attempt holds up to one group per concurrent range resident
-// at once — the documented residency multiplier of range concurrency.
+// single decoded group either way, but a split attempt holds up to one
+// group per concurrent range resident at once — the documented
+// residency multiplier of range concurrency.
 func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceReport, error) {
 	ws.crashPoint("reduce", t.ID, nil)
-	// One handle per distinct spool file; every cursor reads through it
-	// with positioned reads, no seek state to share.
-	files := make(map[string]*os.File)
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	var scs []*runfile.SectionCursor
+	sh := shuffle.New[K, V](shuffle.Options{Partitions: 1})
+	images := make([]shuffle.RunImage, len(t.Sections))
 	var bytesRead int64
-	for _, sec := range t.Sections {
-		f, ok := files[sec.Path]
-		if !ok {
-			var err error
-			f, err = os.Open(sec.Path)
-			if err != nil {
-				return ReduceReport{}, fmt.Errorf("proc: opening spool %s: %w", sec.Path, err)
-			}
-			files[sec.Path] = f
-		}
-		sc, err := runfile.NewSectionCursor(io.NewSectionReader(f, sec.Offset, sec.Length), sec.Length, sec.DataBytes)
-		if err != nil {
-			return ReduceReport{}, fmt.Errorf("proc: section %s@%d+%d unreadable: %w", sec.Path, sec.Offset, sec.Length, err)
-		}
+	for i, sec := range t.Sections {
+		images[i] = shuffle.RunImage{Path: sec.Path, Offset: sec.Offset, Length: sec.Length, DataBytes: sec.DataBytes}
 		bytesRead += sec.DataBytes
-		scs = append(scs, sc)
 	}
-
+	if err := sh.Adopt(0, images); err != nil {
+		return ReduceReport{}, err
+	}
+	part := sh.Partition(0)
+	maxRanges := t.ReduceRangeConcurrency
+	if maxRanges <= 0 {
+		// A split target is an explicit opt-in: keep at least two ranges
+		// even on a single-CPU worker so the requested split happens.
+		maxRanges = max(runtime.GOMAXPROCS(0), 2)
+	}
+	ranges := part.PlanReduceRanges(int64(t.ReduceSplitPairs), maxRanges)
+	nRanges := int64(len(ranges))
+	if ranges == nil {
+		ranges = []shuffle.KeyRange[K]{{}}
+	}
+	rr, err := part.OpenRangeReader()
+	if err != nil {
+		return ReduceReport{}, err
+	}
+	defer rr.Close()
+	rangeGroups := make([][]outGroup[K, O], len(ranges))
+	stats := make([]mergeStats, len(ranges))
+	errs := make([]error, len(ranges))
+	var wg sync.WaitGroup
+	for r := range ranges {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rangeGroups[r], stats[r], errs[r] = j.reduceRange(rr, ranges[r], t)
+		}(r)
+	}
+	wg.Wait()
 	var groups []outGroup[K, O]
 	var st mergeStats
-	var nRanges int64
-	if slices := sliceSectionsByRange[K](scs, t.ReduceSplitPairs, t.ReduceRangeConcurrency); slices != nil {
-		nRanges = int64(len(slices))
-		rangeGroups := make([][]outGroup[K, O], len(slices))
-		stats := make([]mergeStats, len(slices))
-		errs := make([]error, len(slices))
-		var wg sync.WaitGroup
-		for r := range slices {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				rangeGroups[r], stats[r], errs[r] = mergeSections(j, slices[r], t)
-			}(r)
+	for r := range ranges {
+		if errs[r] != nil {
+			return ReduceReport{}, errs[r]
 		}
-		wg.Wait()
-		for r := range slices {
-			if errs[r] != nil {
-				return ReduceReport{}, errs[r]
-			}
-			groups = append(groups, rangeGroups[r]...)
-			st.keys += stats[r].keys
-			st.outputs += stats[r].outputs
-			st.pairsIn += stats[r].pairsIn
-			if stats[r].maxGroup > st.maxGroup {
-				st.maxGroup = stats[r].maxGroup
-			}
-		}
-	} else {
-		var err error
-		groups, st, err = mergeSections(j, scs, t)
-		if err != nil {
-			return ReduceReport{}, err
-		}
+		groups = append(groups, rangeGroups[r]...)
+		st.keys += stats[r].keys
+		st.outputs += stats[r].outputs
+		st.pairsIn += stats[r].pairsIn
+		st.maxGroup = max(st.maxGroup, stats[r].maxGroup)
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
 	if err := writeOutputs(path, groups); err != nil {
@@ -614,175 +575,36 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	}, nil
 }
 
-// sliceSectionsByRange plans class-aligned key ranges from the
-// sections' resident indexes (decoded keys + counts — no value read)
-// and slices every cursor to each range's [lo, hi) window. nil means
-// run unsplit: splitting disabled, the partition under the target, or
-// an index key that fails to decode (the whole-partition merge decodes
-// the same bytes and surfaces the error fatally).
-func sliceSectionsByRange[K comparable](scs []*runfile.SectionCursor, splitPairs, maxRanges int) [][]*runfile.SectionCursor {
-	if splitPairs <= 0 {
-		return nil
-	}
-	if maxRanges <= 0 {
-		// A split target is an explicit opt-in: keep at least two ranges
-		// even on a single-CPU worker so the requested split happens.
-		maxRanges = runtime.GOMAXPROCS(0)
-		if maxRanges < 2 {
-			maxRanges = 2
-		}
-	}
-	secKeys := make([][]K, len(scs))
-	counts := make(map[K]int64)
-	var total int64
-	for i, sc := range scs {
-		ks := make([]K, sc.Len())
-		for e := 0; e < sc.Len(); e++ {
-			k, err := runfile.Decode[K](sc.KeyAt(e))
-			if err != nil {
-				return nil
-			}
-			ks[e] = k
-			counts[k] += sc.CountAt(e)
-			total += sc.CountAt(e)
-		}
-		secKeys[i] = ks
-	}
-	if total <= int64(splitPairs) {
-		return nil
-	}
-	distinct := make([]K, 0, len(counts))
-	for k := range counts {
-		distinct = append(distinct, k)
-	}
-	shuffle.SortKeys(distinct)
-	loads := make([]int64, len(distinct))
-	for i, k := range distinct {
-		loads[i] = counts[k]
-	}
-	ranges := shuffle.PlanRangesFromCounts(distinct, loads, int64(splitPairs), maxRanges)
-	if ranges == nil {
-		return nil
-	}
-	out := make([][]*runfile.SectionCursor, len(ranges))
-	for r, kr := range ranges {
-		// Slices stay in section (task, attempt, seq) order — the
-		// value-order contract each range merge preserves.
-		for i, sc := range scs {
-			lo, hi := kr.Clamp(secKeys[i])
-			if lo == hi {
-				continue
-			}
-			s, err := sc.Slice(lo, hi)
-			if err != nil {
-				return nil
-			}
-			out[r] = append(out[r], s)
-		}
-	}
-	return out
-}
-
-// mergeStats is one merge's group profile, summed across ranges when
-// the partition was split.
+// mergeStats is one range merge's group profile, summed across ranges
+// when the partition was split.
 type mergeStats struct {
 	keys, outputs, maxGroup, pairsIn int64
 }
 
-// mergeSections runs the k-way merge-reduce over the given section
-// cursors (whole sections, or one range's slices) and returns the
-// reduced groups in canonical key order. Each call owns its cursors
-// and decode arena, so disjoint ranges merge concurrently.
-func mergeSections[I any, K comparable, V, O any](j *jobImpl[I, K, V, O], scs []*runfile.SectionCursor, t Task) ([]outGroup[K, O], mergeStats, error) {
-	// mergeCursor is one section's position in the merge. curs stays in
-	// section (task, attempt, seq) order throughout — gathering a key's
-	// values by ascending scan is what preserves the value-order
-	// contract across seal splits.
-	type mergeCursor struct {
-		sc  *runfile.SectionCursor
-		key K
-	}
-	var curs []*mergeCursor
-	for _, sc := range scs {
-		if !sc.Next() {
-			continue
-		}
-		k, err := runfile.Decode[K](sc.Key())
-		if err != nil {
-			return nil, mergeStats{}, fatal(fmt.Errorf("proc: decoding key: %w", err))
-		}
-		curs = append(curs, &mergeCursor{sc: sc, key: k})
-	}
-
-	less := shuffle.KeyLess[K]()
-	var vb runfile.ValueBatch
-	var vals []V
+// reduceRange reduces the groups of one key range of the adopted
+// partition and returns them in canonical key order.
+func (j *jobImpl[I, K, V, O]) reduceRange(rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], t Task) ([]outGroup[K, O], mergeStats, error) {
 	var st mergeStats
 	var groups []outGroup[K, O]
-	for len(curs) > 0 {
-		// Select the minimum key by linear scan: the fan-in is the
-		// partition's section count — small next to the decode work per
-		// group — and group membership below is decided by ==, so even
-		// distinct keys the fallback comparator cannot separate gather
-		// correctly.
-		mi := 0
-		for i := 1; i < len(curs); i++ {
-			if less(curs[i].key, curs[mi].key) {
-				mi = i
-			}
+	err := rr.ForEachGroupRange(kr, j.spec.BatchReduce, func(k K, vs []V) error {
+		n := int64(len(vs))
+		if t.MaxReducerInput > 0 && n > int64(t.MaxReducerInput) {
+			return fatal(fmt.Errorf(
+				"proc: reducer for a key in partition %d received %d values, limit %d", t.ID, n, t.MaxReducerInput))
 		}
-		k := curs[mi].key
-		var total int64
-		for _, c := range curs {
-			if c.key == k {
-				total += c.sc.Count()
-			}
-		}
-		if t.MaxReducerInput > 0 && total > int64(t.MaxReducerInput) {
-			return nil, mergeStats{}, fatal(fmt.Errorf(
-				"proc: reducer for a key in partition %d received %d values, limit %d", t.ID, total, t.MaxReducerInput))
-		}
-		if total > st.maxGroup {
-			st.maxGroup = total
-		}
-		if j.spec.BatchReduce {
-			vals = vals[:0] // reduce released the arena; reuse it
-		} else {
-			vals = nil // reduce may retain the slice; give each key its own
-		}
-		for i := 0; i < len(curs); {
-			c := curs[i]
-			if c.key != k {
-				i++
-				continue
-			}
-			if err := c.sc.Values(&vb); err != nil {
-				return nil, mergeStats{}, fmt.Errorf("proc: reading values in partition %d: %w", t.ID, err)
-			}
-			var err error
-			vals, err = runfile.DecodeBatch[V](&vb, vals)
-			if err != nil {
-				return nil, mergeStats{}, fatal(fmt.Errorf("proc: decoding values: %w", err))
-			}
-			st.pairsIn += c.sc.Count()
-			if c.sc.Next() {
-				nk, err := runfile.Decode[K](c.sc.Key())
-				if err != nil {
-					return nil, mergeStats{}, fatal(fmt.Errorf("proc: decoding key: %w", err))
-				}
-				c.key = nk
-				i++
-			} else {
-				curs = append(curs[:i], curs[i+1:]...)
-			}
-		}
-		g := outGroup[K, O]{Key: k, Load: len(vals)}
-		j.spec.Reduce(k, vals, func(o O) { g.Outs = append(g.Outs, o) })
+		st.maxGroup = max(st.maxGroup, n)
+		st.pairsIn += n
+		g := outGroup[K, O]{Key: k, Load: len(vs)}
+		j.spec.Reduce(k, vs, func(o O) { g.Outs = append(g.Outs, o) })
 		st.outputs += int64(len(g.Outs))
 		st.keys++
 		groups = append(groups, g)
+		return nil
+	})
+	if err != nil && !isFatal(err) {
+		err = fmt.Errorf("proc: reading values in partition %d: %w", t.ID, err)
 	}
-	return groups, st, nil
+	return groups, st, err
 }
 
 // writeOutputs encodes one reduce attempt's groups to its output file:

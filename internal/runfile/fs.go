@@ -69,7 +69,7 @@ func (osFS) Remove(name string) error { return os.Remove(name) }
 // contract.
 type osFile struct{ *os.File }
 
-func (f osFile) Mmap(length int64) ([]byte, error) { return sysMmap(f.File, length) }
+func (f osFile) Mmap(off, length int64) ([]byte, error) { return sysMmap(f.File, off, length) }
 
 func (f osFile) Madvise(data []byte) error { return sysMadvise(data) }
 

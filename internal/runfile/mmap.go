@@ -30,10 +30,10 @@ var ErrNoMmap = errors.New("runfile: file does not support memory mapping")
 // memory-mapped. OSFS files implement it on platforms with mmap; the
 // errfs harness implements it to inject map/advise/unmap failures.
 type Mapper interface {
-	// Mmap returns a read-only mapping of the file's first length
-	// bytes. The mapping stays valid after the File is closed, until
-	// Munmap.
-	Mmap(length int64) ([]byte, error)
+	// Mmap returns a read-only mapping of the file's length bytes at
+	// off, a multiple of the page size. The mapping stays valid after
+	// the File is closed, until Munmap.
+	Mmap(off, length int64) ([]byte, error)
 	// Madvise hints the kernel about the access pattern of a mapping
 	// returned by Mmap. A failure means the caller should abandon the
 	// mapping (Munmap it) and fall back to positioned reads.
@@ -42,11 +42,14 @@ type Mapper interface {
 	Munmap(data []byte) error
 }
 
-// Map returns a read-only mapping of f's first length bytes, advised
-// for the reader's access pattern. It returns ErrNoMmap when f does not
-// implement Mapper (and the platform error when the map or advise call
-// fails); either way the caller falls back to positioned reads.
-func Map(f File, length int64) ([]byte, error) {
+// Map returns a read-only mapping of f's length bytes at off (a
+// multiple of os.Getpagesize()), advised for the reader's access
+// pattern. Mapping just the bytes a reader needs keeps the kernel's
+// fault-around from pulling neighboring data of a shared file into the
+// process. It returns ErrNoMmap when f does not implement Mapper (and
+// the platform error when the map or advise call fails); either way the
+// caller falls back to positioned reads.
+func Map(f File, off, length int64) ([]byte, error) {
 	m, ok := f.(Mapper)
 	if !ok {
 		return nil, ErrNoMmap
@@ -54,7 +57,7 @@ func Map(f File, length int64) ([]byte, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("runfile: cannot map %d bytes", length)
 	}
-	data, err := m.Mmap(length)
+	data, err := m.Mmap(off, length)
 	if err != nil {
 		return nil, err
 	}

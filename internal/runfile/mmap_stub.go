@@ -6,7 +6,7 @@ import "os"
 
 const hasMmap = false
 
-func sysMmap(*os.File, int64) ([]byte, error) { return nil, ErrNoMmap }
+func sysMmap(*os.File, int64, int64) ([]byte, error) { return nil, ErrNoMmap }
 
 func sysMadvise([]byte) error { return ErrNoMmap }
 

@@ -45,7 +45,7 @@ func TestMapOSFile(t *testing.T) {
 		t.Skip("no mmap on this platform")
 	}
 	f, data, _ := writeTempRun(t, mmapGroups, mmapOrder)
-	m, err := Map(f, int64(len(data)))
+	m, err := Map(f, 0, int64(len(data)))
 	if err != nil {
 		t.Fatalf("Map: %v", err)
 	}
@@ -66,7 +66,7 @@ func TestMapOSFile(t *testing.T) {
 // TestMapUnsupportedFile: a File without Mapper gets ErrNoMmap, the
 // fallback-selecting sentinel.
 func TestMapUnsupportedFile(t *testing.T) {
-	if _, err := Map(plainFile{}, 10); !errors.Is(err, ErrNoMmap) {
+	if _, err := Map(plainFile{}, 0, 10); !errors.Is(err, ErrNoMmap) {
 		t.Fatalf("Map of unmappable file: err = %v, want ErrNoMmap", err)
 	}
 }

@@ -13,11 +13,11 @@ import (
 // mapping assertions on platforms compiled with the stub.
 const hasMmap = true
 
-func sysMmap(f *os.File, length int64) ([]byte, error) {
+func sysMmap(f *os.File, off, length int64) ([]byte, error) {
 	if length > math.MaxInt32 && ^uint(0)>>32 == 0 {
 		return nil, fmt.Errorf("runfile: %d-byte mapping exceeds address space", length)
 	}
-	return syscall.Mmap(int(f.Fd()), 0, int(length), syscall.PROT_READ, syscall.MAP_SHARED)
+	return syscall.Mmap(int(f.Fd()), off, int(length), syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
 func sysMadvise(data []byte) error {

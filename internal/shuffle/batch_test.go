@@ -1,45 +1,39 @@
 package shuffle
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
 
 // TestForEachGroupBatchMatchesPerGroup: the batch read contract must
 // change only allocation behavior — keys, key order, values and value
-// order are identical to ForEachGroup, across spilled and in-memory
-// partitions, struct values included.
+// order are identical to the stable-slice read, across spilled and
+// in-memory partitions, struct values included.
 func TestForEachGroupBatchMatchesPerGroup(t *testing.T) {
 	type pay struct {
 		A int64
 		B float64
 	}
 	for _, spillDir := range []string{"", t.TempDir()} {
-		s := New[int, pay](Options{Partitions: 4, MaxBufferedPairs: 8, SpillDir: spillDir})
-		bufs := make([]*TaskBuffer[int, pay], 3)
-		for i := range bufs {
-			bufs[i] = s.NewTaskBuffer()
-		}
+		s := New[int, pay](Options{Partitions: 4, MemoryBudget: 8, SpillDir: spillDir})
+		var pairs []Pair[int, pay]
 		for i := 0; i < 400; i++ {
-			bufs[i%3].Emit(i%19, pay{A: int64(i), B: float64(i) / 4})
+			pairs = append(pairs, Pair[int, pay]{i % 19, pay{A: int64(i), B: float64(i) / 4}})
 		}
-		if err := s.Merge(bufs); err != nil {
-			t.Fatal(err)
-		}
+		writeTasks(t, s, 0, roundRobin(3, pairs), 3)
 		type group struct {
 			k  int
 			vs []pay
 		}
 		for p := 0; p < s.NumPartitions(); p++ {
 			var plain, batch []group
-			if err := s.Partition(p).ForEachGroup(func(k int, vs []pay) error {
+			if err := eachGroup(s.Partition(p), false, func(k int, vs []pay) error {
 				plain = append(plain, group{k, vs})
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Partition(p).ForEachGroupBatch(func(k int, vs []pay) error {
+			if err := eachGroup(s.Partition(p), true, func(k int, vs []pay) error {
 				// The slice is only valid during the call: copy to keep.
 				batch = append(batch, group{k, append([]pay(nil), vs...)})
 				return nil
@@ -65,22 +59,22 @@ func TestForEachGroupBatchMatchesPerGroup(t *testing.T) {
 // allocation win) has quietly regressed.
 func TestForEachGroupBatchArenaAliasing(t *testing.T) {
 	const keys, perKey = 16, 32
-	// Equal-size groups of a fixed-size value type: every group's batch
-	// decodes into the same-capacity scratch, so reuse is guaranteed to
-	// overwrite the previous group's view.
-	s := New[int, int](Options{Partitions: 1, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
+	// Equal-size groups of a fixed-size value type, each whole in one
+	// spilled run (the task's tail): every group's batch decodes into the
+	// same-capacity scratch, so reuse is guaranteed to overwrite the
+	// previous group's view. (A group spread over several runs is
+	// concatenated into a fresh slice instead.)
+	s := New[int, int](Options{Partitions: 1, MemoryBudget: keys * perKey, SpillDir: t.TempDir()})
 	defer s.Close()
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[int, int]
 	for i := 0; i < keys*perKey; i++ {
-		buf.Emit(i%keys, i)
+		pairs = append(pairs, Pair[int, int]{i % keys, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 
 	var retained, snapshot []int
 	diverged := false
-	err := s.Partition(0).ForEachGroupBatch(func(_ int, vs []int) error {
+	err := eachGroup(s.Partition(0), true, func(_ int, vs []int) error {
 		if retained != nil && !reflect.DeepEqual(retained, snapshot) {
 			diverged = true
 		}
@@ -97,50 +91,17 @@ func TestForEachGroupBatchArenaAliasing(t *testing.T) {
 	}
 }
 
-// TestPerValueDecodeHookMatchesBatch: the legacy per-value decode path
-// (kept for head-to-head benchmarks) must produce the same groups as
-// the default batch decode.
-func TestPerValueDecodeHookMatchesBatch(t *testing.T) {
-	build := func(perValue bool) map[string][]int {
-		s := New[string, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
-		defer s.Close()
-		s.perValue = perValue
-		buf := s.NewTaskBuffer()
-		for i := 0; i < 300; i++ {
-			buf.Emit(fmt.Sprintf("k%02d", i%17), i)
-		}
-		if err := s.Merge([]*TaskBuffer[string, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[string][]int)
-		for p := 0; p < s.NumPartitions(); p++ {
-			if err := s.Partition(p).ForEachGroup(func(k string, vs []int) error {
-				got[k] = vs
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return got
-	}
-	if !reflect.DeepEqual(build(true), build(false)) {
-		t.Fatal("per-value and batch decode paths disagree")
-	}
-}
-
 // TestSetCombinerInvalidatesStatsMemo is the regression test for the
-// memoization bug: Stats results were invalidated only by Merge, so a
-// SetCombiner between a Stats call and the next Merge could serve a
-// profile that no longer described the shuffle's sealing behavior.
+// memoization bug: Stats results were invalidated only by new data, so
+// a SetCombiner between a Stats call and the next map phase could serve
+// a profile that no longer described the shuffle's sealing behavior.
 func TestSetCombinerInvalidatesStatsMemo(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2})
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[int, int]
 	for i := 0; i < 20; i++ {
-		buf.Emit(i%3, i)
+		pairs = append(pairs, Pair[int, int]{i % 3, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)

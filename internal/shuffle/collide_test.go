@@ -16,25 +16,23 @@ import (
 func TestCompactionWithCollidingFormattedKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	colliders := []k2{{"a b", "c"}, {"a", "b c"}} // both format as "{a b c}"
-	s := New[k2, int](Options{Partitions: 2, MaxBufferedPairs: 3, SpillDir: t.TempDir()})
+	s := New[k2, int](Options{Partitions: 2, MemoryBudget: 3, SpillDir: t.TempDir()})
 	defer s.Close()
 	s.SetPartitioner(func(k2) int { return 0 })
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[k2, int]
 	want := make(map[k2][]int)
 	// Unequal per-seal group sizes for the two colliders, plus a third
-	// key, across enough seals to force compaction at the fan-in cap.
-	n := 3 * (2*maxDiskRunFanIn + 5)
+	// key, across enough seals to force compaction at the run cap.
+	n := 3 * (maxDiskRunsPerPartition + 5)
 	for i := 0; i < n; i++ {
 		k := colliders[i%3%2] // 2 of every 3 pairs to collider 0, 1 to collider 1
 		if i%7 == 0 {
 			k = k2{"z", fmt.Sprint(i % 4)}
 		}
-		buf.Emit(k, i)
+		pairs = append(pairs, Pair[k2, int]{k, i})
 		want[k] = append(want[k], i)
 	}
-	if err := s.Merge([]*TaskBuffer[k2, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 	if got := len(s.parts[0].disk); got >= maxDiskRunFanIn {
 		t.Fatalf("%d disk runs; compaction never triggered", got)
 	}
@@ -46,7 +44,7 @@ func TestCompactionWithCollidingFormattedKeys(t *testing.T) {
 		t.Errorf("Stats.Keys = %d, want %d", st.Keys, len(want))
 	}
 	got := make(map[k2][]int)
-	if err := s.Partition(0).ForEachGroup(func(k k2, vs []int) error {
+	if err := eachGroup(s.Partition(0), false, func(k k2, vs []int) error {
 		if _, dup := got[k]; dup {
 			t.Fatalf("key %+v emitted as two groups", k)
 		}

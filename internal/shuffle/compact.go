@@ -1,24 +1,20 @@
 // Asynchronous disk-run compaction.
 //
-// Barrier-mode Merge owns each partition outright and compacts inline
-// on the partition's goroutine; nothing here applies to it. The
-// streaming path used to do the same — a seal that pushed a partition
-// over the run-count bound rewrote all of its disk runs before the
-// seal returned, stalling that partition's ingestion (and, through the
-// global pressure backstop, often the whole round) for the length of a
-// multi-run merge. Here the seal only marks the partition and hands it
-// to a small pool of background workers; the merge then runs
-// concurrently with ingestion, which is safe because sealed runs are
-// immutable and new seals only append to the partition's run list — a
-// compaction plans a window of that list, merges it without the lock,
-// and splices the result back in under the lock.
+// A commit that pushes a partition over its run-count bound only marks
+// the partition and hands it to a small pool of background workers;
+// the merge then runs concurrently with mapping, which is safe because
+// sealed runs are immutable and a compaction window is gap-free — no
+// uncommitted task sits between its runs, so commits landing during
+// the merge insert only before or after it. A compaction plans its
+// window under the partition lock, merges without it, and splices the
+// result back in under the lock.
 //
 // Queue discipline: at most one queue entry per partition exists at
 // any time (partitionState.compacting), so a channel with one slot per
 // partition can never block a sender — enqueueing from under the
 // partition lock is safe. A worker that finishes a partition and finds
-// it has outgrown the bound again (seals landed during the merge)
-// re-enqueues it directly, keeping the one-entry invariant.
+// it has outgrown the bound again re-enqueues it directly, keeping the
+// one-entry invariant.
 package shuffle
 
 import "repro/internal/obs"
@@ -38,19 +34,37 @@ func (s *Shuffle[K, V]) compactionWorkers() int {
 	return defaultCompactionConcurrency
 }
 
-// maybeCompact enqueues st for asynchronous compaction when its disk
-// runs outgrew a bound and it is not already queued. Caller holds
+// canCompact reports whether st's disk runs outgrew a bound and a
+// window of them may merge now. Caller holds st.mu.
+func (s *Shuffle[K, V]) canCompact(st *partitionState[K, V]) bool {
+	if !needsCompaction(st.disk) {
+		return false
+	}
+	from, to := s.compactionWindow(st.disk)
+	return to-from >= 2
+}
+
+// maybeCompact compacts st when canCompact says so: inline on lane
+// under a negative CompactionConcurrency, otherwise by enqueueing it
+// for the background workers unless it is already queued. Caller holds
 // st.mu. The WaitGroup add happens before the send, so a Finish or
 // Close that starts waiting immediately after still sees the queued
 // work.
-func (s *Shuffle[K, V]) maybeCompact(st *partitionState[K, V]) {
-	if st.compacting || !needsCompaction(st.disk) {
-		return
+func (s *Shuffle[K, V]) maybeCompact(st *partitionState[K, V], lane *obs.Ring) error {
+	if st.compacting || !s.canCompact(st) {
+		return nil
+	}
+	if s.opts.CompactionConcurrency < 0 {
+		s.diskSem <- struct{}{}
+		defer func() { <-s.diskSem }()
+		s.invalidateStats()
+		return st.compactDiskRuns(s, lane, false)
 	}
 	s.compactStart.Do(s.startCompactors)
 	st.compacting = true
 	s.compactWG.Add(1)
 	s.compactCh <- st.idx
+	return nil
 }
 
 // startCompactors creates the queue and the worker pool, lazily on the
@@ -70,16 +84,15 @@ func (s *Shuffle[K, V]) startCompactors() {
 
 // compactor is one background worker: it takes partition indexes off
 // the queue and compacts until the queue closes (Close). Errors are
-// latched for Ingester.Finish to surface; the partition's compacting
-// mark is cleared either way so a later round (Merge after a failed
-// streaming round is torn down) is not wedged.
+// latched for Finish to surface; the partition's compacting mark is
+// cleared either way so a later map phase is not wedged.
 func (s *Shuffle[K, V]) compactor(lane *obs.Ring) {
 	for p := range s.compactCh {
 		st := &s.parts[p]
 		s.diskSem <- struct{}{}
 		st.mu.Lock()
 		var err error
-		if needsCompaction(st.disk) {
+		if s.canCompact(st) {
 			err = st.compactDiskRuns(s, lane, true)
 			s.invalidateStats()
 		}
@@ -91,8 +104,8 @@ func (s *Shuffle[K, V]) compactor(lane *obs.Ring) {
 			}
 			s.compactMu.Unlock()
 			st.compacting = false
-		case needsCompaction(st.disk):
-			// Seals that landed during the merge pushed the partition
+		case s.canCompact(st):
+			// Commits that landed during the merge pushed the partition
 			// back over a bound: go again. Keeping compacting set keeps
 			// the one-entry-per-partition invariant, so this send cannot
 			// block either.
@@ -109,10 +122,9 @@ func (s *Shuffle[K, V]) compactor(lane *obs.Ring) {
 
 // waitCompactions blocks until the compaction queue is drained and
 // returns the first error any worker hit (sticky until the shuffle is
-// torn down). Called by Ingester.Finish — the streaming round must not
-// report success while a compaction that will be surfaced nowhere else
-// is still failing — and by Close before deleting run files out from
-// under the workers.
+// torn down). Called by Finish — the map phase must not report
+// success while a compaction that will be surfaced nowhere else is
+// still failing.
 func (s *Shuffle[K, V]) waitCompactions() error {
 	s.compactWG.Wait()
 	s.compactMu.Lock()

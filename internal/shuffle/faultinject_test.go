@@ -22,31 +22,33 @@ import (
 // deterministic for the injection cases below.
 func noMmap(o *Options) { o.DisableMmap = true }
 
-// spillWorkload merges pairs pairs of key i%keys into a single-partition
-// shuffle with the given budget over fs, returning the shuffle and the
-// merge error.
-func spillWorkload(t *testing.T, fs *errfs.FS, budget, pairs, keys int, mod ...func(*Options)) (*Shuffle[int, int], error) {
+// spillWorkload writes pairs pairs of key i%keys into a
+// single-partition shuffle with the given budget over fs, as one task
+// per writer (round-robin) on that many concurrent task writers — each
+// writer spills into its own spool file — and returns the shuffle and
+// the first commit or finish error.
+func spillWorkload(t *testing.T, fs *errfs.FS, budget, pairs, keys, writers int, mod ...func(*Options)) (*Shuffle[int, int], error) {
 	t.Helper()
 	opts := Options{
-		Partitions: 1, MaxBufferedPairs: budget,
+		Partitions: 1, MemoryBudget: budget,
 		SpillDir: t.TempDir(), FS: fs,
 	}
 	for _, m := range mod {
 		m(&opts)
 	}
 	s := New[int, int](opts)
-	buf := s.NewTaskBuffer()
-	for i := 0; i < pairs; i++ {
-		buf.Emit(i%keys, i)
+	all := make([]Pair[int, int], pairs)
+	for i := range all {
+		all[i] = Pair[int, int]{i % keys, i}
 	}
-	return s, s.Merge([]*TaskBuffer[int, int]{buf})
+	return s, runTasks(s, 0, roundRobin(writers, all), writers)
 }
 
 // groupCounts streams the partition and returns per-key value counts.
 func groupCounts(t *testing.T, s *Shuffle[int, int]) map[int]int {
 	t.Helper()
 	got := map[int]int{}
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+	if err := eachGroup(s.Partition(0), false, func(k int, vs []int) error {
 		got[k] += len(vs)
 		return nil
 	}); err != nil {
@@ -65,8 +67,10 @@ func wantCounts(pairs, keys int) map[int]int {
 }
 
 // TestFaultInjectionSpill fails each operation of the seal-to-disk
-// path — create, write, close, and the remove on the cleanup path —
-// and requires Merge to surface the injected error wrapped.
+// path — spool create, section write, spool close, and the remove on
+// the cleanup path — and requires the map phase to surface the
+// injected error wrapped. Four writers spill into four spools, so a
+// later create can fail too.
 func TestFaultInjectionSpill(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -74,19 +78,19 @@ func TestFaultInjectionSpill(t *testing.T) {
 		nth     int
 		wantMsg string
 	}{
-		{"create-first-run", errfs.OpCreate, 1, "creating spill file"},
-		{"create-later-run", errfs.OpCreate, 3, "creating spill file"},
-		{"write-flush", errfs.OpWrite, 1, "flushing spill"},
-		{"close-after-finish", errfs.OpClose, 1, "closing spill"},
+		{"create-first-run", errfs.OpCreate, 1, "creating spool"},
+		{"create-later-run", errfs.OpCreate, 3, "creating spool"},
+		{"write-flush", errfs.OpWrite, 1, "flushing spool"},
+		{"close-after-finish", errfs.OpClose, 1, "closing spool"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := errfs.New(nil)
 			fs.FailAt(tc.op, tc.nth, nil)
-			s, err := spillWorkload(t, fs, 2, 16, 5)
+			s, err := spillWorkload(t, fs, 8, 16, 5, 4)
 			defer s.Close()
 			if err == nil {
-				t.Fatal("Merge succeeded despite injected failure")
+				t.Fatal("map phase succeeded despite injected failure")
 			}
 			if !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("injected cause lost from the chain: %v", err)
@@ -97,41 +101,42 @@ func TestFaultInjectionSpill(t *testing.T) {
 		})
 	}
 
-	// A failed spill must not leak its partial run file: the create
-	// succeeds, the write fails, and the cleanup path removes the file
-	// (observed through the remove counter).
+	// A failed spill must not leak its partial spool file: the create
+	// succeeds, the write fails, and the phase's cleanup removes the
+	// file (observed through the remove counter).
 	fs := errfs.New(nil)
 	fs.FailAt(errfs.OpWrite, 1, nil)
-	s, err := spillWorkload(t, fs, 2, 16, 5)
+	s, err := spillWorkload(t, fs, 2, 16, 5, 1)
 	defer s.Close()
 	if err == nil {
-		t.Fatal("Merge succeeded despite injected write failure")
+		t.Fatal("map phase succeeded despite injected write failure")
 	}
 	if got := fs.Calls(errfs.OpRemove); got == 0 {
 		t.Error("failed spill left its partial run file in place (no remove issued)")
 	}
 }
 
-// TestFaultInjectionCompaction drives a partition past maxDiskRunFanIn
-// seals so compaction runs mid-merge, then fails each of its
-// operations: reopening input runs, the positioned section reads, the
-// output create, and the output flush. The pread fallback is forced so
-// the read ordinals are deterministic; mapping faults get their own
-// fallback test below.
+// TestFaultInjectionCompaction drives a partition past
+// maxDiskRunsPerPartition runs so compaction runs at commit, then fails
+// each of its operations: reopening the input spool, the positioned
+// section reads, the output create, and the output flush. The pread
+// fallback is forced so the read ordinals are deterministic; mapping
+// faults get their own fallback test below.
 func TestFaultInjectionCompaction(t *testing.T) {
-	const pairs = maxDiskRunFanIn // budget 1: one seal per pair, compaction at the last
+	const pairs = maxDiskRunsPerPartition // budget 1: one seal per pair, compaction at commit
 	// Discovery pass: count the clean run's operations so the write and
 	// create injections can target the compaction output (the last of
 	// each) without hard-coding buffer-dependent ordinals.
 	probe := errfs.New(nil)
-	s, err := spillWorkload(t, probe, 1, pairs, 7, noMmap)
+	s, err := spillWorkload(t, probe, 1, pairs, 7, 1, noMmap)
 	if err != nil {
 		t.Fatalf("clean compaction run failed: %v", err)
 	}
 	s.Close()
 	creates, writes, preads := probe.Calls(errfs.OpCreate), probe.Calls(errfs.OpWrite), probe.Calls(errfs.OpReadAt)
-	if creates != pairs+1 {
-		t.Fatalf("clean run created %d files, want %d spills + 1 compaction output", creates, pairs+1)
+	opens := probe.Calls(errfs.OpOpen)
+	if creates != 2 {
+		t.Fatalf("clean run created %d files, want 1 spool + 1 compaction output", creates)
 	}
 	if preads == 0 {
 		t.Fatal("clean run issued no positioned reads: compaction did not happen")
@@ -144,7 +149,7 @@ func TestFaultInjectionCompaction(t *testing.T) {
 		wantMsg string
 	}{
 		{"open-first-input", errfs.OpOpen, 1, "compacting"},
-		{"open-last-input", errfs.OpOpen, pairs, "compacting"},
+		{"open-last-input", errfs.OpOpen, opens, "compacting"},
 		{"pread-first-section", errfs.OpReadAt, 1, "reading spill"},
 		{"pread-mid-section", errfs.OpReadAt, preads / 2, "reading spill"},
 		{"create-output", errfs.OpCreate, creates, "creating compacted run"},
@@ -154,10 +159,10 @@ func TestFaultInjectionCompaction(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := errfs.New(nil)
 			fs.FailAt(tc.op, tc.nth, nil)
-			s, err := spillWorkload(t, fs, 1, pairs, 7, noMmap)
+			s, err := spillWorkload(t, fs, 1, pairs, 7, 1, noMmap)
 			defer s.Close()
 			if err == nil {
-				t.Fatal("Merge succeeded despite injected compaction failure")
+				t.Fatal("map phase succeeded despite injected compaction failure")
 			}
 			if !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("injected cause lost from the chain: %v", err)
@@ -175,7 +180,7 @@ func TestFaultInjectionCompaction(t *testing.T) {
 // the pread fallback (munmap faults are absorbed at close), and the
 // output must be byte-for-byte the same groups as an unfaulted run.
 func TestFaultInjectionMmapFallback(t *testing.T) {
-	const pairs, keys = maxDiskRunFanIn, 7
+	const pairs, keys = maxDiskRunsPerPartition, 7
 	want := wantCounts(pairs, keys)
 	for _, tc := range []struct {
 		name string
@@ -188,7 +193,7 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := errfs.New(nil)
 			fs.FailAt(tc.op, 1, nil)
-			s, err := spillWorkload(t, fs, 1, pairs, keys)
+			s, err := spillWorkload(t, fs, 1, pairs, keys, 1)
 			defer s.Close()
 			if err != nil {
 				t.Fatalf("injected %s fault must engage the fallback, not fail the round: %v", tc.name, err)
@@ -196,7 +201,7 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 			// Some cursors may be mapped and some not (the injection hit
 			// one file); the merge must not care.
 			got := map[int]int{}
-			if rerr := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+			if rerr := eachGroup(s.Partition(0), false, func(k int, vs []int) error {
 				got[k] += len(vs)
 				return nil
 			}); rerr != nil {
@@ -211,9 +216,9 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionReduceMerge spills cleanly, then fails the
-// reduce-time k-way merge's reopens and positioned reads at several
-// points. The counting APIs must keep working through armed read
+// TestFaultInjectionReduceMerge spills cleanly (two writers, two
+// spools), then fails the reduce-time k-way merge's reopens and
+// positioned reads at several points. The counting APIs must keep working through armed read
 // failures (they are memory-only), the streaming read must surface the
 // wrapped error rather than truncate, and clearing the injection must
 // yield the full dataset — the files were never corrupted. An injected
@@ -221,7 +226,7 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 func TestFaultInjectionReduceMerge(t *testing.T) {
 	const budget, pairs, keys = 4, 32, 5
 	build := func(fs *errfs.FS, mod ...func(*Options)) *Shuffle[int, int] {
-		s, err := spillWorkload(t, fs, budget, pairs, keys, mod...)
+		s, err := spillWorkload(t, fs, budget, pairs, keys, 2, mod...)
 		if err != nil {
 			t.Fatalf("spill phase: %v", err)
 		}
@@ -233,7 +238,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 	// streaming pass issue under the fallback?
 	probe := errfs.New(nil)
 	s := build(probe, noMmap)
-	if err := s.Partition(0).ForEachGroup(func(int, []int) error { return nil }); err != nil {
+	if err := eachGroup(s.Partition(0), false, func(int, []int) error { return nil }); err != nil {
 		t.Fatalf("clean merge: %v", err)
 	}
 	opens, preads := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt)
@@ -274,9 +279,9 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 			}
 
 			// The streaming merge hits the injection and must say so.
-			err = s.Partition(0).ForEachGroup(func(int, []int) error { return nil })
+			err = eachGroup(s.Partition(0), false, func(int, []int) error { return nil })
 			if err == nil {
-				t.Fatal("ForEachGroup succeeded despite injected failure")
+				t.Fatal("streaming read succeeded despite injected failure")
 			}
 			if !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("injected cause lost from the chain: %v", err)
@@ -287,7 +292,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 
 			// And batch mode surfaces it identically.
 			fs.FailAt(tc.op, tc.nth, nil)
-			if err := s.Partition(0).ForEachGroupBatch(func(int, []int) error { return nil }); !errors.Is(err, errfs.ErrInjected) {
+			if err := eachGroup(s.Partition(0), true, func(int, []int) error { return nil }); !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("batch read: injected cause lost: %v", err)
 			}
 
@@ -295,7 +300,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 			// full dataset streams back.
 			fs.Reset()
 			got := 0
-			if err := s.Partition(0).ForEachGroup(func(_ int, vs []int) error {
+			if err := eachGroup(s.Partition(0), false, func(_ int, vs []int) error {
 				got += len(vs)
 				return nil
 			}); err != nil {
@@ -335,7 +340,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 func TestFaultInjectionRangeMerge(t *testing.T) {
 	const budget, pairs, keys = 4, 32, 5
 	build := func(fs *errfs.FS, mod ...func(*Options)) *Shuffle[int, int] {
-		s, err := spillWorkload(t, fs, budget, pairs, keys, mod...)
+		s, err := spillWorkload(t, fs, budget, pairs, keys, 2, mod...)
 		if err != nil {
 			t.Fatalf("spill phase: %v", err)
 		}

@@ -6,22 +6,29 @@ import (
 )
 
 // buildSpilled fills a one-partition shuffle with n pairs over nKeys
-// keys (values i for key i%nKeys) under the given budget and returns
-// it unclosed.
-func buildSpilled(t *testing.T, budget, n, nKeys int, combiner func(int, []int) []int) *Shuffle[int, int] {
+// keys (values i for key i%nKeys) under the given budget, written as
+// map tasks of taskPairs pairs each (0: one task) with inline
+// compaction, and returns it unclosed.
+func buildSpilled(t *testing.T, budget, n, nKeys, taskPairs int, combiner func(int, []int) []int) *Shuffle[int, int] {
 	t.Helper()
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: budget, SpillDir: t.TempDir()})
+	s := New[int, int](Options{
+		Partitions: 2, MemoryBudget: budget, SpillDir: t.TempDir(), CompactionConcurrency: -1,
+	})
 	s.SetPartitioner(func(int) int { return 0 })
 	if combiner != nil {
 		s.SetCombiner(combiner)
 	}
-	buf := s.NewTaskBuffer()
+	if taskPairs <= 0 {
+		taskPairs = n
+	}
+	var tasks [][]Pair[int, int]
 	for i := 0; i < n; i++ {
-		buf.Emit(i%nKeys, i)
+		if i%taskPairs == 0 {
+			tasks = append(tasks, nil)
+		}
+		tasks[len(tasks)-1] = append(tasks[len(tasks)-1], Pair[int, int]{i % nKeys, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTasks(t, s, 0, tasks, 1)
 	return s
 }
 
@@ -38,7 +45,7 @@ func sumCombiner(_ int, vs []int) []int {
 // perform zero run-file reads — only the value-streaming merge touches
 // disk.
 func TestCountingPassIsMemoryOnly(t *testing.T) {
-	s := buildSpilled(t, 16, 400, 23, nil)
+	s := buildSpilled(t, 16, 400, 23, 0, nil)
 	defer s.Close()
 	if got := s.DiskBytesRead(); got != 0 {
 		t.Fatalf("DiskBytesRead = %d after merge without compaction, want 0", got)
@@ -77,7 +84,7 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 
 	// The value-streaming merge is the only disk consumer.
 	var pairs int
-	if err := part.ForEachGroup(func(_ int, vs []int) error {
+	if err := eachGroup(part, false, func(_ int, vs []int) error {
 		pairs += len(vs)
 		return nil
 	}); err != nil {
@@ -104,17 +111,16 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 }
 
 // TestStatsMemoized: repeat Stats calls are served from the memo until
-// a Merge invalidates it.
+// a commit invalidates it.
 func TestStatsMemoized(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
+	s := New[int, int](Options{Partitions: 2, MemoryBudget: 4, SpillDir: t.TempDir()})
 	defer s.Close()
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[int, int]
 	for i := 0; i < 20; i++ {
-		buf.Emit(i%3, i)
+		pairs = append(pairs, Pair[int, int]{i % 3, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
+	s.statsMemo = nil // the phase's Finish may have profiled nothing yet
 	if s.statsMemo != nil {
 		t.Fatal("memo set before Stats was ever computed")
 	}
@@ -148,13 +154,9 @@ func TestStatsMemoized(t *testing.T) {
 		}
 	}
 
-	buf2 := s.NewTaskBuffer()
-	buf2.Emit(100, 1)
-	if err := s.Merge([]*TaskBuffer[int, int]{buf2}); err != nil {
-		t.Fatal(err)
-	}
+	writeTasks(t, s, 1, [][]Pair[int, int]{{{100, 1}}}, 1)
 	if s.statsMemo != nil {
-		t.Fatal("Merge did not invalidate the Stats memo")
+		t.Fatal("a commit did not invalidate the Stats memo")
 	}
 	st3, err := s.Stats()
 	if err != nil {
@@ -166,30 +168,30 @@ func TestStatsMemoized(t *testing.T) {
 	}
 }
 
-// TestCompactionFanInBoundaries pins the compaction trigger at the
-// fan-in cap: exactly maxDiskRunFanIn seals collapse to one run, one
-// more seal starts the next tier at two runs — and both shapes stream
+// TestCompactionFanInBoundaries pins the compaction trigger at the run
+// cap: exactly maxDiskRunsPerPartition committed runs collapse to one,
+// one more starts the next tier at two runs — and both shapes stream
 // back the reference grouping.
 func TestCompactionFanInBoundaries(t *testing.T) {
-	for _, seals := range []int{maxDiskRunFanIn, maxDiskRunFanIn + 1} {
+	for _, seals := range []int{maxDiskRunsPerPartition, maxDiskRunsPerPartition + 1} {
 		const budget = 2
 		n := seals * budget
 		want := make(map[int][]int)
 		for i := 0; i < n; i++ {
 			want[i%7] = append(want[i%7], i)
 		}
-		s := buildSpilled(t, budget, n, 7, nil)
+		s := buildSpilled(t, budget, n, 7, budget, nil) // one seal per task
 		disk := s.parts[0].disk
 		wantRuns := 1
-		if seals > maxDiskRunFanIn {
+		if seals > maxDiskRunsPerPartition {
 			wantRuns = 2
 		}
 		if len(disk) != wantRuns {
 			t.Fatalf("%d seals: %d disk runs, want %d", seals, len(disk), wantRuns)
 		}
-		if disk[0].pairs != int64(maxDiskRunFanIn*budget) {
+		if disk[0].pairs != int64(maxDiskRunsPerPartition*budget) {
 			t.Errorf("%d seals: first run holds %d pairs, want %d",
-				seals, disk[0].pairs, maxDiskRunFanIn*budget)
+				seals, disk[0].pairs, maxDiskRunsPerPartition*budget)
 		}
 		st, err := s.Stats()
 		if err != nil {
@@ -198,14 +200,7 @@ func TestCompactionFanInBoundaries(t *testing.T) {
 		if st.SpillEvents != int64(seals) || st.Pairs != int64(n) || st.Keys != 7 {
 			t.Errorf("%d seals: stats = %+v", seals, st)
 		}
-		got := make(map[int][]int)
-		if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
-			got[k] = vs
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := allGroups(t, s); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d seals: compacted grouping diverges from reference", seals)
 		}
 		s.Close()
@@ -221,9 +216,9 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 		n      = 800
 		nKeys  = 5
 	)
-	raw := buildSpilled(t, budget, n, nKeys, nil)
+	raw := buildSpilled(t, budget, n, nKeys, 0, nil)
 	defer raw.Close()
-	combined := buildSpilled(t, budget, n, nKeys, sumCombiner)
+	combined := buildSpilled(t, budget, n, nKeys, 0, sumCombiner)
 	defer combined.Close()
 
 	rawSt, err := raw.Stats()
@@ -253,7 +248,7 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 	sums := func(s *Shuffle[int, int]) (map[int]int, int64) {
 		out := make(map[int]int)
 		var pairs int64
-		if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+		if err := eachGroup(s.Partition(0), false, func(k int, vs []int) error {
 			total := 0
 			for _, v := range vs {
 				total += v
@@ -282,29 +277,30 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 
 // TestCombinerSkipsSealWhenCombineFrees: when combining collapses the
 // live run well under the budget, the seal is cancelled — a workload
-// whose combined footprint fits in memory never touches disk at all,
-// no matter how many raw pairs stream through.
+// whose combined footprint fits in memory never seals under pressure,
+// no matter how many raw pairs stream through; the task's only run is
+// its combined tail.
 func TestCombinerSkipsSealWhenCombineFrees(t *testing.T) {
 	const budget = 16
-	s := buildSpilled(t, budget, 5000, 3, sumCombiner) // 3 combined pairs << budget/2
+	s := buildSpilled(t, budget, 5000, 3, 0, sumCombiner) // 3 combined pairs << budget/2
 	defer s.Close()
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SpillEvents != 0 || st.BytesSpilled != 0 {
-		t.Fatalf("combined-in-memory workload spilled: %+v", st)
+	if st.SpillEvents != 0 || st.SpilledPairs != 0 || len(s.parts[0].disk) != 1 {
+		t.Fatalf("combined-in-memory workload sealed under pressure: %+v", st)
 	}
 	if st.MaxLivePairs > budget {
 		t.Fatalf("MaxLivePairs = %d exceeds budget %d", st.MaxLivePairs, budget)
 	}
-	// The live run holds the 3 combined partials plus whatever raw
-	// pairs arrived after the last combine — never more than the budget.
-	if st.Keys != 3 || st.Pairs < 3 || st.Pairs > budget {
-		t.Fatalf("stats = pairs %d keys %d, want 3 keys and <= %d pairs", st.Pairs, st.Keys, budget)
+	// The tail holds the 3 combined partials: the combine at commit
+	// folds whatever raw pairs arrived after the last cancelled seal.
+	if st.Keys != 3 || st.Pairs != 3 {
+		t.Fatalf("stats = pairs %d keys %d, want 3 and 3", st.Pairs, st.Keys)
 	}
 	var total int
-	if err := s.Partition(0).ForEachGroup(func(_ int, vs []int) error {
+	if err := eachGroup(s.Partition(0), false, func(_ int, vs []int) error {
 		for _, v := range vs {
 			total += v
 		}
@@ -329,7 +325,7 @@ func TestCombinerRecombinesAcrossCompaction(t *testing.T) {
 		// seals and at least one compaction.
 		n = 4 * maxDiskRunFanIn * budget
 	)
-	s := buildSpilled(t, budget, n, nKeys, sumCombiner)
+	s := buildSpilled(t, budget, n, nKeys, 0, sumCombiner)
 	defer s.Close()
 	st, err := s.Stats()
 	if err != nil {
@@ -353,7 +349,7 @@ func TestCombinerRecombinesAcrossCompaction(t *testing.T) {
 	}
 	sums := make(map[int]int)
 	var pairs int64
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+	if err := eachGroup(s.Partition(0), false, func(k int, vs []int) error {
 		for _, v := range vs {
 			sums[k] += v
 		}

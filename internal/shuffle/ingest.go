@@ -1,73 +1,41 @@
-// Streaming shuffle ingestion: the pipelined map→shuffle data path.
+// The map-side data plane: single-writer task buffers sealing sorted
+// sections.
 //
-// The barrier-mode path (TaskBuffer + Merge) buffers every map task's
-// entire output until the map phase ends, so the memory budget is only
-// honored after the barrier and spill I/O never overlaps map CPU. The
-// Ingester replaces that with block-based streaming: each map worker
-// emits into small per-partition blocks (backed by the shuffle's
-// sync.Pool) and flushes a full block immediately to its partition,
-// which absorbs it under a per-partition lock — concurrently with
-// still-running map tasks — sealing, combining and spilling as the
-// budget fills. Sorting, encoding and disk writes therefore overlap
-// mapping, and whole-round resident pairs stay bounded by
-// P*MemoryBudget + writers*BlockPairs instead of the dataset size.
+// A map phase opens S task writers (TaskWriters), one per goroutine
+// that runs map tasks — Workers in-process, 1 in a proc worker. Each
+// task attempt writes through one of them: Emit appends to the
+// partition's live run, and a live run that reaches the threshold
+// ⌊MemoryBudget/S⌋ is sealed — combined, and unless the combine freed
+// half the threshold, handed off as one run. At Commit the
+// task's remaining live runs (its tail) are sealed the same way, so a
+// task's output is a sequence of runs per partition, numbered in seal
+// order. With a SpillDir every run is encoded as a section of the
+// writer's one spool file for the round and dropped from memory;
+// without one the runs stay in memory.
 //
-// Two invariants make this safe:
+// Ordering. A task's runs are invisible until Commit, which inserts
+// them into each partition's run list at the task's position — runs
+// are kept in (task, seq) order, not commit order — so a key's values
+// read back in (task order, emission order within the task) however
+// the tasks were scheduled. No watermark gates anything: commit order
+// only matters to compaction, which may merge only runs adjacent in
+// (task, seq) order with no uncommitted task between them.
 //
-// Ordering. The runtime's deterministic output contract requires a
-// key's values to appear in (task order, emission order within the
-// task). Flushed blocks from concurrent tasks arrive interleaved, so a
-// partition does not absorb them on arrival: it stages them per task
-// and absorbs staged tasks strictly in task-index order, and only once
-// every earlier task has finished (the Ingester's watermark). Within a
-// partition, absorption order therefore equals task order, which makes
-// seal order equal task order, which is exactly what the read-side
-// k-way merge's (key, run order) heap needs to reproduce the contract.
+// Fencing. Abort drops the attempt's live runs and releases its sealed
+// sections, so a retried task re-emits from scratch and a failed
+// attempt's pairs are never visible anywhere.
 //
-// Fencing. A failed task attempt may already have flushed blocks; its
-// pairs must never become visible. Staged runs are tagged with (task,
-// attempt) and remain invisible to absorption until the attempt
-// commits; Abort discards the attempt's staged blocks (and releases
-// any pressure-swapped sections). Because only committed tasks absorb,
-// a retry can re-emit from scratch without double counting.
-//
-// Staged data under memory pressure cannot be absorbed (its task has
-// not committed) and cannot be dropped, so an over-budget partition
-// relieves itself by *swapping*: the staged blocks are encoded
-// verbatim — unsorted, uncombined, ungrouped — as one raw section of a
-// per-partition stash file, newest tasks first, and read back in
-// block-sized chunks at the moment their task's turn to absorb comes.
-// The swapped bytes are pure bookkeeping: they never become shuffle
-// output, so the partition's seal points — and therefore BytesSpilled,
-// SpillEvents and every other spill statistic — remain a pure function
-// of the committed pair stream, independent of flush timing, recorder
-// overhead, or scheduling. (The previous design relieved pressure by
-// early-sealing the live run and writing staged data as combined
-// *runs*, which made spilled bytes timing-sensitive: two identical
-// rounds could legitimately report different BytesSpilled depending on
-// when relief fired. The bench now pins the invariant that they
-// cannot.)
-//
-// All relief writes append to per-partition spool files with
-// refcounted sections (see spool): seals share one spool file per
-// partition, swaps share a stash file, so relief costs no file churn
-// no matter how many sections it writes, and rotation retires a spool
-// whose sections have mostly died (absorbed, aborted or compacted
-// away) so long rounds reclaim disk mid-round.
-//
-// The division of labor matters as much as the mechanisms: flushing is
-// an O(1) staging append, absorption runs on committing workers (and
-// the final Finish drain), and a flush only does ingest work itself as
-// the over-budget backstop. The worker running the oldest task IS the
-// watermark — everything else's staged data waits on it — so the flush
-// path must never make that worker wait behind relief I/O.
+// Memory. A writer holds at most P*threshold pairs in live runs, so
+// with a SpillDir the S writers together hold at most P*MemoryBudget.
+// Seal points depend only on the task's own pair stream and the
+// configuration, which makes BytesSpilled and SpillEvents pure
+// functions of the per-task streams, invariant to scheduling, tracing
+// and timing.
 package shuffle
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,653 +44,391 @@ import (
 	"repro/internal/runfile"
 )
 
-// swapSec is one pressure-swapped section of a stash file: a staged
-// task's blocks encoded verbatim at [off, off+size) of the refcounted
-// file, holding pairs raw (pre-combine) pairs. The section is released
-// — and its bytes counted toward the stash's rotation trigger — when
-// the task absorbs or aborts.
-type swapSec struct {
-	rf    *runFile
-	off   int64
-	size  int64
-	pairs int
-}
-
-// stagedRun is one task attempt's flushed-but-unabsorbed output for a
-// single partition: pressure-swapped sections first (earlier flushes
-// shed to the stash), then in-memory blocks, both in flush order.
-type stagedRun[K comparable, V any] struct {
-	attempt int
-	blocks  [][]Pair[K, V] // flushed blocks not yet absorbed, in flush order
-	pairs   int            // in-memory pairs across blocks
-	swapped []swapSec      // pressure-swapped earlier flushes, in swap order
-}
-
-// Ingester is the streaming ingestion front of a Shuffle: a set of
-// per-task TaskWriters feeding per-partition staging, plus the
-// watermark that gates absorption to task order. Create one per map
-// phase; TaskWriters may be used from concurrent workers (one writer
-// per worker at a time), and task indexes must be contiguous from 0 in
-// dispatch order for the watermark to advance.
-type Ingester[K comparable, V any] struct {
-	s *Shuffle[K, V]
-
-	mu   sync.Mutex   // guards done
-	done map[int]bool // finished tasks at or above the watermark
-	wm   atomic.Int64 // all tasks < wm are committed (or round-fatal)
-
-	errMu sync.Mutex
-	err   error
-
-	finishing atomic.Bool  // Finish's drain is running; stop metering overlap
-	overlapNs atomic.Int64 // ns of absorb/spill work overlapped with mapping
-	finishNs  atomic.Int64 // wall ns of the Finish drain (the residual barrier)
-}
-
-// NewIngester starts a streaming ingestion round on the shuffle. It
-// must not run concurrently with Merge, reads, or Close.
-func (s *Shuffle[K, V]) NewIngester() *Ingester[K, V] {
-	s.invalidateStats() // the profile is about to change
-	return &Ingester[K, V]{s: s, done: make(map[int]bool)}
-}
-
-// Err returns the first error the ingestion hit (a failed seal, swap
-// or compaction), or nil. Once set, further flushes are dropped and
-// every Commit returns the error.
-func (in *Ingester[K, V]) Err() error {
-	in.errMu.Lock()
-	defer in.errMu.Unlock()
-	return in.err
-}
-
-func (in *Ingester[K, V]) fail(err error) {
-	in.errMu.Lock()
-	if in.err == nil {
-		in.err = err
-	}
-	in.errMu.Unlock()
-}
-
-// OverlapNs is the time spent absorbing, sealing and spilling while
-// map tasks were still running — work the barrier path would have
-// serialized after the map phase. FinishNs is the wall time of the
-// Finish drain, the residual barrier.
-func (in *Ingester[K, V]) OverlapNs() int64 { return in.overlapNs.Load() }
-func (in *Ingester[K, V]) FinishNs() int64  { return in.finishNs.Load() }
-
-// Task starts (or retries) one map task's writer. attempt tags the
-// writer's flushes so a failed attempt can be fenced off; the engine
-// retries a task serially, so at most one attempt per task is live.
-func (in *Ingester[K, V]) Task(task, attempt int) *TaskWriter[K, V] {
-	return &TaskWriter[K, V]{
-		in: in, task: task, attempt: attempt,
-		buckets: make([][]Pair[K, V], in.s.nparts),
-	}
-}
-
-// TaskWriter buffers one task attempt's emissions into per-partition
-// blocks, flushing the fullest block whenever the buffered total
-// reaches the shuffle's block budget. Not safe for concurrent use.
+// TaskWriter is one single-writer task buffer: a goroutine runs its map
+// task attempts through it one at a time (Begin, Emit..., Commit or
+// Abort). It is not safe for concurrent use.
 type TaskWriter[K comparable, V any] struct {
-	in       *Ingester[K, V]
-	task     int
-	attempt  int
-	buckets  [][]Pair[K, V] // open block per partition
-	buffered int            // pairs across open blocks, <= blockPairs
-	done     bool
+	s     *Shuffle[K, V]
+	spool *spool[K, V] // this writer's spool for the round (SpillDir only)
+	lane  *obs.Ring
+
+	task, attempt int
+	err           error
+
+	// Per partition: the live run, its pair count, and the attempt's
+	// sealed-run accounting, all reset by Begin.
+	live      []map[K][]V
+	livePairs []int
+	maxLive   []int
+	events    []int64
+	spilled   []int64 // pairs sealed under the threshold (pressure)
+	pairs     []int64 // post-combine pairs across the attempt's runs
+	body      []int64
+	index     []int64
+
+	runs     []sealedRun[K, V] // the attempt's runs, in seal order
+	resident int               // pairs this attempt holds in memory
+	freeVs   [][]V             // recycled value-slice backing arrays
 }
 
-// Emit buffers one pair, flushing a block when the writer's buffered
-// total reaches the block budget — so a writer never holds more than
-// BlockPairs pairs, the per-writer term of the resident-memory bound.
+// sealedRun is one run a task attempt sealed for one partition: on
+// disk (a section of the writer's spool) or in memory.
+type sealedRun[K comparable, V any] struct {
+	part int
+	disk diskRun[K]
+	mem  memRun[K, V]
+}
+
+// TaskWriters opens the map phase's n task writers and fixes the seal
+// threshold at ⌊MemoryBudget/n⌋ (at least 1 under a budget), the share
+// of the budget each concurrently running writer may hold per
+// partition. Call Finish once every task has committed.
+func (s *Shuffle[K, V]) TaskWriters(n int) []*TaskWriter[K, V] {
+	if n < 1 {
+		n = 1
+	}
+	s.threshold = 0
+	if b := s.opts.MemoryBudget; b > 0 {
+		s.threshold = max(b/n, 1)
+	}
+	s.writers = make([]*TaskWriter[K, V], n)
+	for i := range s.writers {
+		w := &TaskWriter[K, V]{
+			s:         s,
+			lane:      s.opts.Recorder.Lane(obs.LaneWorker, i),
+			live:      make([]map[K][]V, s.nparts),
+			livePairs: make([]int, s.nparts),
+			maxLive:   make([]int, s.nparts),
+			events:    make([]int64, s.nparts),
+			spilled:   make([]int64, s.nparts),
+			pairs:     make([]int64, s.nparts),
+			body:      make([]int64, s.nparts),
+			index:     make([]int64, s.nparts),
+		}
+		if s.opts.SpillDir != "" && s.sealSink == nil {
+			w.spool = &spool[K, V]{s: s}
+		}
+		s.writers[i] = w
+	}
+	return s.writers
+}
+
+// Begin starts one attempt of a map task on the writer.
+func (w *TaskWriter[K, V]) Begin(task, attempt int) {
+	w.task, w.attempt, w.err = task, attempt, nil
+	clear(w.maxLive)
+	clear(w.events)
+	clear(w.spilled)
+	clear(w.pairs)
+	clear(w.body)
+	clear(w.index)
+}
+
+// Emit appends one pair to its partition's live run, sealing the run
+// when it reaches the writer threshold. A seal failure is latched and
+// returned by Commit; later pairs of the attempt are dropped.
 func (w *TaskWriter[K, V]) Emit(k K, v V) {
-	s := w.in.s
-	p := s.PartitionOf(k)
-	blk := w.buckets[p]
-	if blk == nil {
-		blk = s.getBlock()
-	}
-	w.buckets[p] = append(blk, Pair[K, V]{k, v})
-	w.buffered++
-	if w.buffered >= s.blockPairs {
-		w.flushLargest()
-	}
-}
-
-// flushLargest flushes the fullest open block, keeping flushed blocks
-// chunky (at least buffered/P pairs) without per-partition thresholds
-// that a skewed key space would starve.
-func (w *TaskWriter[K, V]) flushLargest() {
-	best, bestLen := -1, 0
-	for p, blk := range w.buckets {
-		if len(blk) > bestLen {
-			best, bestLen = p, len(blk)
-		}
-	}
-	if best >= 0 {
-		w.flush(best)
-	}
-}
-
-func (w *TaskWriter[K, V]) flush(p int) {
-	blk := w.buckets[p]
-	w.buckets[p] = nil
-	w.buffered -= len(blk)
-	w.in.stage(w.task, w.attempt, p, blk)
-}
-
-// Commit flushes the writer's remaining blocks, marks the task
-// finished (advancing the watermark when it is the next expected
-// task), and opportunistically drains newly absorbable partitions on
-// the committing worker — map-phase CPU doing shuffle work. It returns
-// the ingestion's first error, which is fatal for the round (the
-// task's data may be partially absorbed; it must not be retried).
-func (w *TaskWriter[K, V]) Commit() error {
-	if w.done {
-		return w.in.Err()
-	}
-	w.done = true
-	for p, blk := range w.buckets {
-		if len(blk) > 0 {
-			w.flush(p)
-		} else if blk != nil {
-			w.in.s.putBlock(blk)
-			w.buckets[p] = nil
-		}
-	}
-	w.in.finishTask(w.task)
-	w.in.drainAll()
-	return w.in.Err()
-}
-
-// Abort discards the attempt: unflushed blocks return to the pool, and
-// the attempt's staged blocks and swapped stash sections are removed
-// from every partition. The task may then be retried under a new
-// attempt; none of the aborted attempt's pairs are visible anywhere.
-func (w *TaskWriter[K, V]) Abort() {
-	if w.done {
+	if w.err != nil {
 		return
 	}
-	w.done = true
-	s := w.in.s
-	for p, blk := range w.buckets {
-		if blk != nil {
-			s.putBlock(blk)
-			w.buckets[p] = nil
-		}
+	p := w.s.PartitionOf(k)
+	live := w.live[p]
+	if live == nil {
+		live = make(map[K][]V)
+		w.live[p] = live
 	}
-	w.in.discard(w.task, w.attempt)
+	vs, ok := live[k]
+	if !ok && len(w.freeVs) > 0 {
+		vs = w.grabSlice()
+	}
+	live[k] = append(vs, v)
+	w.livePairs[p]++
+	w.resident++
+	w.s.addResident(1)
+	if t := w.s.threshold; t > 0 && w.livePairs[p] >= t {
+		w.err = w.seal(p, false)
+	}
 }
 
-// stage appends a flushed block to its partition's staged run for the
-// task — an O(1) append under the partition's tiny staging lock, so
-// flushing never waits behind an absorb or a disk spill. A flush never
-// makes anything newly absorbable (only commits advance the
-// watermark), so the ingest step runs here only as backpressure: when
-// the exchange is over its global budget, the flush blocks until it
-// has relieved pressure itself, which is what makes the resident bound
-// hold.
-func (in *Ingester[K, V]) stage(task, attempt, p int, blk []Pair[K, V]) {
-	s := in.s
-	if len(blk) == 0 || in.Err() != nil {
-		s.putBlock(blk)
-		return
-	}
-	// Staging is an O(1) append under the tiny staging lock: the flush
-	// path must never wait behind another worker's absorb or spill,
-	// because the worker running the *oldest* task is the watermark —
-	// every other task's staged data waits on its commit, and a
-	// watermark worker stuck behind relief I/O turns commit pileup into
-	// swap pressure into more relief I/O (the storm this design had to
-	// engineer out). Absorption is driven by committers (drainAll) and
-	// Finish; a flush only stops to run the ingest step itself when its
-	// partition is over budget — the hard backstop that keeps the
-	// resident bound true, checked against the lock-free live mirror.
-	st := &s.parts[p]
-	st.stageMu.Lock()
-	sr := st.staged[task]
-	if sr == nil {
-		if st.staged == nil {
-			st.staged = make(map[int]*stagedRun[K, V])
-		}
-		sr = &stagedRun[K, V]{attempt: attempt}
-		st.staged[task] = sr
-	}
-	sr.blocks = append(sr.blocks, blk)
-	sr.pairs += len(blk)
-	staged := st.stagedPairs + len(blk)
-	st.stagedPairs = staged
-	st.stageMu.Unlock()
-	s.addResident(len(blk))
-	st.lane.Instant(obs.OpBlockFlush, int64(task), int64(len(blk)))
+// grabSlice pops a recycled value slice.
+func (w *TaskWriter[K, V]) grabSlice() []V {
+	vs := w.freeVs[len(w.freeVs)-1]
+	w.freeVs = w.freeVs[:len(w.freeVs)-1]
+	return vs
+}
 
-	budget := s.opts.MaxBufferedPairs
-	if budget > 0 && s.opts.SpillDir != "" && int(st.liveApprox.Load())+staged >= budget {
-		st.mu.Lock()
-		err := in.ingestStep(st, true)
-		st.mu.Unlock()
+// seal closes partition p's live run. With a combiner the run is
+// combined first, and a combine that frees at least half the threshold
+// cancels a threshold seal so combiner-friendly streams spill far less
+// than their raw volume; tail seals (Commit) always go through.
+func (w *TaskWriter[K, V]) seal(p int, tail bool) (err error) {
+	s, live := w.s, w.live[p]
+	n := w.livePairs[p]
+	if n == 0 {
+		return nil
+	}
+	w.maxLive[p] = max(w.maxLive[p], n)
+	if s.combiner != nil {
+		post := 0
+		for k, vs := range live {
+			cv := s.combiner(k, vs)
+			if len(cv) == 0 {
+				delete(live, k)
+				continue
+			}
+			live[k] = cv
+			post += len(cv)
+		}
+		w.release(n - post)
+		n, w.livePairs[p] = post, post
+		if n == 0 || !tail && n <= s.threshold/2 {
+			return nil
+		}
+	}
+	start := time.Now()
+	w.lane.Begin(obs.OpSeal, int64(n), 0)
+	defer func() {
+		w.lane.End(obs.OpSeal, int64(n), errFlag(err))
+		s.sealNs.Add(time.Since(start).Nanoseconds())
+	}()
+	switch {
+	case s.sealSink != nil:
+		if err := s.sealSink(p, sortedMapKeys(live), live); err != nil {
+			return err
+		}
+		w.release(n)
+		w.recycleLive(p)
+	case w.spool != nil:
+		if s.spillTypeErr != nil {
+			return fmt.Errorf("shuffle: cannot spill: %w", s.spillTypeErr)
+		}
+		dr, body, idx, err := w.spool.addRunGroups(sortedMapKeys(live), live, int64(n))
 		if err != nil {
-			in.fail(err)
+			return err
+		}
+		dr.first, dr.last = w.task, w.task
+		w.runs = append(w.runs, sealedRun[K, V]{part: p, disk: dr})
+		w.body[p] += body
+		w.index[p] += idx
+		w.release(n)
+		w.recycleLive(p)
+	default:
+		// The run keeps the value slices, its keys unsorted until Finish
+		// folds the partition; the map's buckets stay with the writer for
+		// its next live run.
+		keys, vals := make([]K, 0, len(live)), make([][]V, 0, len(live))
+		for k, vs := range live {
+			keys, vals = append(keys, k), append(vals, vs)
+		}
+		w.runs = append(w.runs, sealedRun[K, V]{part: p, mem: memRun[K, V]{task: w.task, keys: keys, vals: vals}})
+		clear(live)
+	}
+	if !tail {
+		w.events[p]++
+		w.spilled[p] += int64(n)
+	}
+	w.pairs[p] += int64(n)
+	w.livePairs[p] = 0
+	return nil
+}
+
+// release drops n pairs from the writer's resident count.
+func (w *TaskWriter[K, V]) release(n int) {
+	w.resident -= n
+	w.s.addResident(-n)
+}
+
+// recycleLive clears partition p's live run in place — keeping its
+// buckets — and harvests the value slices, whose groups were encoded
+// synchronously, for later emits. The harvest is capped so a stream
+// whose key population shifts cannot grow the freelist without bound.
+func (w *TaskWriter[K, V]) recycleLive(p int) {
+	for _, vs := range w.live[p] {
+		if cap(vs) > 0 && len(w.freeVs) < 8192 {
+			clear(vs) // recycled capacity must pin no values
+			w.freeVs = append(w.freeVs, vs[:0])
 		}
 	}
+	clear(w.live[p])
 }
 
-// finishTask marks the task committed and advances the watermark over
-// every contiguously finished task.
-func (in *Ingester[K, V]) finishTask(task int) {
-	in.mu.Lock()
-	in.done[task] = true
-	wm := int(in.wm.Load())
-	for in.done[wm] {
-		delete(in.done, wm)
-		wm++
+// Commit seals the attempt's tail and registers all its runs with
+// their partitions at the task's position in (task, seq) order. A seal
+// error leaves nothing registered: the attempt is aborted and the
+// error returned. An inline compaction error is returned after
+// registration; the round must fail either way.
+func (w *TaskWriter[K, V]) Commit() error {
+	s := w.s
+	for p := range w.live {
+		if w.err == nil {
+			w.err = w.seal(p, true)
+		}
 	}
-	in.wm.Store(int64(wm))
-	in.mu.Unlock()
+	if w.err != nil {
+		err := w.err
+		w.Abort()
+		return err
+	}
+	// Group the runs by partition; the stable sort keeps each
+	// partition's runs in seal (seq) order.
+	slices.SortStableFunc(w.runs, func(a, b sealedRun[K, V]) int { return a.part - b.part })
+	for i := 0; i < len(w.runs); {
+		j := i + 1
+		for j < len(w.runs) && w.runs[j].part == w.runs[i].part {
+			j++
+		}
+		if err := w.register(w.runs[i].part, w.runs[i:j]); err != nil && w.err == nil {
+			w.err = err
+		}
+		i = j
+	}
+	clear(w.runs)
+	w.runs = w.runs[:0]
+	w.resident = 0 // committed in-memory runs now belong to their partitions
+	// Mark the task committed only after every partition holds its runs:
+	// compaction treats runs around a committed task as adjacent.
+	s.commitMu.Lock()
+	s.committed[w.task] = true
+	s.commitMu.Unlock()
+	s.invalidateStats()
+	return w.err
 }
 
-// discard removes an aborted attempt's staged state from every
-// partition: blocks back to the pool, swapped stash sections released.
-// It takes the work lock before the staging lock so it cannot
-// interleave with a swap that has the attempt's blocks mid-write.
-func (in *Ingester[K, V]) discard(task, attempt int) {
-	s := in.s
+// register inserts one partition's runs of the committing task (seal
+// order, which is seq order) at the task's position and folds in the
+// attempt's accounting for the partition.
+func (w *TaskWriter[K, V]) register(p int, runs []sealedRun[K, V]) error {
+	s, st := w.s, &w.s.parts[p]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if runs[0].disk.file != nil {
+		at := len(st.disk)
+		for at > 0 && st.disk[at-1].first > w.task {
+			at--
+		}
+		for i, r := range runs {
+			st.disk = slices.Insert(st.disk, at+i, r.disk)
+		}
+		st.spilledToDisk = true
+	} else {
+		at := len(st.mem)
+		for at > 0 && st.mem[at-1].task > w.task {
+			at--
+		}
+		for i, r := range runs {
+			st.mem = slices.Insert(st.mem, at+i, r.mem)
+		}
+	}
+	st.pairs += w.pairs[p]
+	st.spillEvents += w.events[p]
+	st.spilledPairs += w.spilled[p]
+	st.bytesSpilled += w.body[p]
+	st.indexBytes += w.index[p]
+	st.maxLivePairs = max(st.maxLivePairs, w.maxLive[p])
+	return s.maybeCompact(st, w.lane)
+}
+
+// Abort discards the attempt: live runs are dropped, sealed in-memory
+// runs freed, and sealed sections released (their bytes count toward
+// the spool's rotation trigger). The task may then be retried under a
+// new attempt; none of the aborted attempt's pairs are visible.
+func (w *TaskWriter[K, V]) Abort() {
+	for p := range w.live {
+		clear(w.live[p])
+		w.livePairs[p] = 0
+	}
+	for _, r := range w.runs {
+		if r.disk.file != nil {
+			r.disk.file.dead.Add(r.disk.size)
+			// A removal failure cannot be reported from Abort; the writer
+			// still holds the file, and Close retries its removal.
+			r.disk.file.release(w.s.fs, &w.s.bytesReclaimed)
+		}
+	}
+	clear(w.runs)
+	w.runs = w.runs[:0]
+	w.release(w.resident)
+	w.lane.Instant(obs.OpFenceAbort, int64(w.task), int64(w.attempt))
+}
+
+// Finish ends the map phase: it releases the writers' spool handles,
+// folds each partition's in-memory runs into one sorted run, runs any compaction
+// that commits made possible late, waits out the background compaction
+// queue, and returns its first error. After Finish the shuffle is ready
+// for Stats and reads. A later map phase on the same shuffle must
+// number its tasks above or below all earlier ones, since folded runs
+// admit nothing between them.
+func (s *Shuffle[K, V]) Finish() error {
+	var first error
+	for _, w := range s.writers {
+		if w.spool != nil {
+			if err := w.spool.close(&s.bytesReclaimed); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	s.writers = nil
+	// With every task committed nothing can land between a partition's
+	// in-memory runs, and one sorted run reads without a merge.
+	var wg sync.WaitGroup
+	for p := range s.parts {
+		if st := &s.parts[p]; len(st.mem) > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st.mem = []memRun[K, V]{foldRuns(st.mem)}
+			}()
+		}
+	}
+	wg.Wait()
 	for p := range s.parts {
 		st := &s.parts[p]
 		st.mu.Lock()
-		st.stageMu.Lock()
-		if sr := st.staged[task]; sr != nil && sr.attempt == attempt {
-			st.lane.Instant(obs.OpFenceAbort, int64(task), int64(attempt))
-			for _, blk := range sr.blocks {
-				s.putBlock(blk)
-			}
-			s.addResident(-sr.pairs)
-			st.stagedPairs -= sr.pairs
-			for _, sec := range sr.swapped {
-				// The section's bytes are dead: count them toward the
-				// stash's rotation trigger and drop the file when this
-				// was the last holder. A removal failure cannot be
-				// reported from Abort; the path is retried at close.
-				sec.rf.dead.Add(sec.size)
-				sec.rf.release(s.fs, &s.bytesReclaimed)
-			}
-			delete(st.staged, task)
-			s.invalidateStats()
+		if err := s.maybeCompact(st, st.lane); err != nil && first == nil {
+			first = err
 		}
-		st.stageMu.Unlock()
 		st.mu.Unlock()
 	}
+	if err := s.waitCompactions(); err != nil && first == nil {
+		first = err
+	}
+	s.invalidateStats()
+	return first
 }
 
-// drainAll runs the ingest step over every partition that has staged
-// data the watermark now allows (or that is swap-eligible under
-// pressure). Committers are the streaming path's absorption engine:
-// every commit sweeps the partitions, so staged data drains within one
-// commit interval of becoming absorbable while the flush path stays
-// O(1). The quick stageMu peek keeps the pass cheap for partitions
-// with nothing to do.
-func (in *Ingester[K, V]) drainAll() {
-	// Pressure only marks a partition non-idle when swapping could
-	// actually relieve it — with no SpillDir the sweep would lock and
-	// scan over-budget partitions forever to do nothing.
-	budget := in.s.opts.MaxBufferedPairs
-	canSwap := budget > 0 && in.s.opts.SpillDir != ""
-	for p := range in.s.parts {
-		st := &in.s.parts[p]
-		wm := int(in.wm.Load())
-		st.stageMu.Lock()
-		idle := st.minStagedBelow(wm) < 0 && !(canSwap && st.stagedPairs >= budget)
-		st.stageMu.Unlock()
-		if idle {
-			continue
-		}
-		st.mu.Lock()
-		err := in.ingestStep(st, true)
-		st.mu.Unlock()
-		if err != nil {
-			in.fail(err)
+// foldRuns concatenates in-memory runs into one with its keys in
+// canonical order, each key's values in run order.
+func foldRuns[K comparable, V any](runs []memRun[K, V]) memRun[K, V] {
+	groups := make(map[K][]V, len(runs[0].keys))
+	for _, r := range runs {
+		for i, k := range r.keys {
+			groups[k] = append(groups[k], r.vals[i]...)
 		}
 	}
+	keys := sortedMapKeys(groups)
+	vals := make([][]V, len(keys))
+	for i, k := range keys {
+		vals[i] = groups[k]
+	}
+	return memRun[K, V]{task: runs[0].task, keys: keys, vals: vals}
 }
 
-// ingestStep, with the partition lock held, absorbs every staged task
-// the watermark allows (in task order) and then — when allowSwap is
-// set — swaps this partition's staged blocks to the stash while the
-// partition is over its memory budget. The live run is never sealed
-// early and staged data is never written as shuffle runs: relief moves
-// raw bytes only, so where the seal points fall — and with them every
-// spill statistic — depends only on the committed pair stream, never
-// on when pressure happened to fire. Each flush that lands over the
-// threshold swaps its own partition's staged data, so every staged
-// pair is clamped by its partition's next flush or drain; transient
-// overshoot is at most one in-flight block per writer, which is
-// exactly the workers*BlockPairs term of the resident bound.
-func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) error {
-	var started bool
-	var start time.Time
-	begin := func() {
-		if !started {
-			started, start = true, time.Now()
-			// The step is about to change the partition's profile
-			// (absorbs move pairs, swaps move residency); a Stats memo
-			// taken mid-round must not survive it.
-			in.s.invalidateStats()
-		}
-	}
-	if st.pspool == nil && in.s.sealSink == nil {
-		// A seal sink owns sealed-run storage; only sink-less streaming
-		// spools seals itself. (Pressure swaps still use the stash.)
-		st.pspool = &spool[K, V]{s: in.s, pattern: "mr-spool-*.run", kind: "seal spool"}
-	}
-	defer func() {
-		if started && !in.finishing.Load() {
-			in.overlapNs.Add(time.Since(start).Nanoseconds())
-		}
-	}()
-
-	// Absorb every staged run the watermark allows, in task order. The
-	// staging area is re-read each iteration (watermark included), so a
-	// long drain picks up tasks committed while it ran.
-	for {
-		wm := int(in.wm.Load())
-		st.stageMu.Lock()
-		task := st.minStagedBelow(wm)
-		var sr *stagedRun[K, V]
-		if task >= 0 {
-			sr = st.staged[task]
-			delete(st.staged, task)
-			st.stagedPairs -= sr.pairs
-		}
-		st.stageMu.Unlock()
-		if sr == nil {
-			break
-		}
-		begin()
-		if err := in.absorbStaged(st, sr); err != nil {
-			return err
-		}
-	}
-
-	// Pressure relief. The criterion is local — this partition's
-	// live+staged pairs against its own budget — so every partition
-	// acts on its own signal (a global measure would push partitions to
-	// swap staged data while the real excess sat in someone else's live
-	// run). Swapping brings live+staged down to half the budget
-	// (hysteresis: relief events are half as frequent and twice as
-	// chunky as a swap-to-budget would be), newest tasks first — the
-	// oldest staged runs are the next to absorb, and swapping data
-	// moments before it becomes absorbable is the one pure waste in
-	// this design. The live run is left alone: it seals at exactly the
-	// budget through the regular absorb path and never before, which is
-	// what keeps the spill statistics deterministic. Summed over
-	// partitions this caps resident pairs at P*budget plus the workers'
-	// in-flight blocks: the advertised whole-round bound.
-	budget := in.s.opts.MaxBufferedPairs
-	if allowSwap && budget > 0 && in.s.opts.SpillDir != "" {
-		if st.livePairs+st.stagedTotal() >= budget {
-			begin()
-			if err := in.swapStaged(st, budget); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// stagedTotal reports the partition's staged in-memory pairs.
-func (st *partitionState[K, V]) stagedTotal() int {
-	st.stageMu.Lock()
-	defer st.stageMu.Unlock()
-	return st.stagedPairs
-}
-
-// minStagedBelow returns the smallest staged task index under the
-// watermark, or -1. Staged tasks under the watermark are committed:
-// aborted attempts were discarded, and the watermark only passes
-// finished tasks. Caller holds stageMu.
-func (st *partitionState[K, V]) minStagedBelow(wm int) int {
-	best := -1
-	for t := range st.staged {
-		if t < wm && (best < 0 || t < best) {
-			best = t
-		}
-	}
-	return best
-}
-
-// absorbStaged folds one committed task's staged run (already detached
-// from the staging area) into the partition, swapped sections first —
-// they hold the task's earlier flushes — then the in-memory blocks,
-// all through the regular absorb/seal path. Swapped pairs re-enter in
-// block-sized chunks, so reading a giant swapped task back never
-// spikes residency beyond the ordinary absorb overshoot, and sealing
-// still happens at exactly the budget boundaries the committed stream
-// dictates.
-func (in *Ingester[K, V]) absorbStaged(st *partitionState[K, V], sr *stagedRun[K, V]) error {
-	s := in.s
-	for _, sec := range sr.swapped {
-		if err := in.absorbSwapped(st, sec); err != nil {
-			return err
-		}
-	}
-	for _, blk := range sr.blocks {
-		err := st.absorb(s, blk)
-		s.putBlock(blk)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// absorbSwapped reads one pressure-swapped section back from the stash
-// and folds its pairs into the partition in block-sized chunks,
-// releasing the section afterwards. The stash's open handle is reused
-// when the section still lives in the current stash file; a section in
-// a rotated-out file is reopened by path.
-func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) error {
-	s := in.s
-	var ra io.ReaderAt
-	if st.stash != nil && st.stash.rf == sec.rf && st.stash.f != nil {
-		ra = st.stash.f
-	} else {
-		f, err := s.fs.Open(sec.rf.path)
-		if err != nil {
-			return fmt.Errorf("shuffle: reopening swap spool %s: %w", sec.rf.path, err)
-		}
-		defer f.Close()
-		ra = f
-	}
-	// The readback is deliberately not metered into DiskBytesRead: that
-	// counter means "spill run bytes read", the engine's memory-only
-	// diagnosis asserts it stays zero before reduce, and swap traffic is
-	// already fully visible as SwapBytes (each section is written and
-	// read back exactly once).
-	if int64(cap(st.swapBuf)) < sec.size {
-		st.swapBuf = make([]byte, sec.size)
-	}
-	buf := st.swapBuf[:sec.size]
-	if _, err := io.ReadFull(io.NewSectionReader(ra, sec.off, sec.size), buf); err != nil {
-		return fmt.Errorf("shuffle: reading swap spool %s: %w", sec.rf.path, err)
-	}
-
-	n, m := binary.Uvarint(buf)
-	if m <= 0 || int(n) != sec.pairs {
-		return fmt.Errorf("shuffle: swap spool %s: %w: section header says %d pairs, expected %d",
-			sec.rf.path, runfile.ErrCorrupt, n, sec.pairs)
-	}
-	rest := buf[m:]
-	next := func() ([]byte, error) {
-		l, m := binary.Uvarint(rest)
-		if m <= 0 || int64(l) > int64(len(rest)-m) {
-			return nil, fmt.Errorf("shuffle: swap spool %s: %w: truncated swapped pair",
-				sec.rf.path, runfile.ErrCorrupt)
-		}
-		b := rest[m : m+int(l)]
-		rest = rest[m+int(l):]
-		return b, nil
-	}
-	if cap(st.swapChunk) < s.blockPairs {
-		st.swapChunk = make([]Pair[K, V], 0, s.blockPairs)
-	}
-	chunk := st.swapChunk[:0]
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		// The pairs re-enter shuffle memory chunk by chunk; absorb
-		// copies them into the live run, so the chunk slice is reused.
-		s.addResident(len(chunk))
-		err := st.absorb(s, chunk)
-		chunk = chunk[:0]
-		return err
-	}
-	for i := 0; i < int(n); i++ {
-		kb, err := next()
-		if err != nil {
-			return err
-		}
-		k, err := st.decodeSwappedKey(kb)
-		if err != nil {
-			return fmt.Errorf("shuffle: decoding swapped key in spool %s: %w", sec.rf.path, err)
-		}
-		vb, err := next()
-		if err != nil {
-			return err
-		}
-		v, err := runfile.Decode[V](vb)
-		if err != nil {
-			return fmt.Errorf("shuffle: decoding swapped value in spool %s: %w", sec.rf.path, err)
-		}
-		chunk = append(chunk, Pair[K, V]{k, v})
-		if len(chunk) >= s.blockPairs {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	sec.rf.dead.Add(sec.size)
-	if err := sec.rf.release(s.fs, &s.bytesReclaimed); err != nil {
-		return fmt.Errorf("shuffle: removing swap spool %s: %w", sec.rf.path, err)
-	}
-	return nil
-}
-
-// decodeSwappedKey decodes one swapped pair's key, interning string
-// keys through the partition's dedup table: the readback revisits each
-// hot key once per pair, and the map lookup on the raw bytes is
-// allocation-free, so repeat keys share one decoded string instead of
-// allocating per pair. Non-string keys decode directly.
-func (st *partitionState[K, V]) decodeSwappedKey(kb []byte) (K, error) {
-	var zero K
-	if _, isString := any(zero).(string); !isString {
-		return runfile.Decode[K](kb)
-	}
-	if k, ok := st.intern[string(kb)]; ok {
-		return k, nil
-	}
-	k, err := runfile.Decode[K](kb)
-	if err != nil {
-		return zero, err
-	}
-	if st.intern == nil {
-		st.intern = make(map[string]K)
-	}
-	st.intern[any(k).(string)] = k
-	return k, nil
-}
-
-// swapStaged sheds staged blocks to the partition's stash under memory
-// pressure, detaching them newest-task-first, until the partition's
-// live+staged pairs drop to half its budget (or nothing staged
-// remains). The sections rejoin the stream only when their task
-// absorbs; Abort releases them.
-func (in *Ingester[K, V]) swapStaged(st *partitionState[K, V], budget int) (err error) {
-	s := in.s
-	if s.spillTypeErr != nil {
-		return fmt.Errorf("shuffle: cannot swap staged pairs: %w", s.spillTypeErr)
-	}
-	if st.stash == nil {
-		st.stash = &spool[K, V]{s: s, pattern: "mr-swap-*.spool", kind: "swap spool"}
-	}
-	var swapped int64
-	spanOpen := false
-	defer func() {
-		if spanOpen {
-			st.lane.End(obs.OpFence, swapped, errFlag(err))
-		}
-	}()
-	for {
-		st.stageMu.Lock()
-		var sr *stagedRun[K, V]
-		newest, pairs := -1, 0
-		if st.livePairs+st.stagedPairs > budget/2 {
-			for t, c := range st.staged {
-				if c.pairs > 0 && t > newest {
-					sr, newest, pairs = c, t, c.pairs
-				}
-			}
-		}
-		var blocks [][]Pair[K, V]
-		if sr != nil {
-			blocks = sr.blocks
-			sr.blocks, sr.pairs = nil, 0
-			st.stagedPairs -= pairs
-		}
-		st.stageMu.Unlock()
-		if sr == nil {
-			return nil
-		}
-		if !spanOpen {
-			// Opened lazily: swapStaged often finds relief already done.
-			spanOpen = true
-			st.lane.Begin(obs.OpFence, 0, 0)
-		}
-		sec, werr := st.stash.addSwap(blocks, pairs)
-		if werr != nil {
-			return werr
-		}
-		for _, blk := range blocks {
-			s.putBlock(blk)
-		}
-		s.addResident(-pairs)
-		s.swapBytes.Add(sec.size)
-		swapped += int64(pairs)
-		// Reattach under the staging lock. discard cannot run between
-		// the detach above and here (it takes st.mu first, which the
-		// ingest step holds), so the section always lands on a staged
-		// run that is still the attempt's.
-		st.stageMu.Lock()
-		sr.swapped = append(sr.swapped, sec)
-		st.stageMu.Unlock()
-	}
-}
-
-// spool accumulates independently releasable sections in one temp
-// file: a partition's seal runs share one spool file ("seal spool"),
-// its pressure swaps another ("swap spool"), so relief costs no file
-// churn no matter how many sections it writes. The refcounted runFile
-// keeps each section independently releasable (Abort drops only its
-// own sections, compaction its inputs, absorption its readbacks), the
-// open writer holds one reference of its own released by close, and
-// rotation retires a file whose dead bytes — released sections —
-// outgrew Options.SpoolRotateBytes, so a long round's spools reclaim
-// disk instead of growing monotonically.
+// spool accumulates one writer's sealed runs as sections of one temp
+// file, so a round's seals cost one file per writer instead of one per
+// seal. The refcounted runFile keeps each section independently
+// releasable (Abort drops only its own sections, compaction its
+// inputs); the open writer holds one reference of its own, released by
+// close; and rotation retires a file whose dead bytes outgrew
+// Options.SpoolRotateBytes, so a long round reclaims disk instead of
+// growing monotonically.
 type spool[K comparable, V any] struct {
-	s       *Shuffle[K, V]
-	pattern string // CreateTemp pattern ("mr-spool-*.run", "mr-swap-*.spool")
-	kind    string // error-message noun ("seal spool", "swap spool")
-	f       runfile.File
-	rf      *runFile
-	off     int64
-	n       int             // sections written into the current file
-	w       *runfile.Writer // reused across runs (Reset), nil until first run
-	wbuf    []byte          // reused swap-section encode buffer
-	kbuf    []byte          // reused key/value encode scratch
-	broken  bool            // a failed append left bytes of unknown length; stop appending
+	s      *Shuffle[K, V]
+	f      runfile.File
+	rf     *runFile
+	off    int64
+	n      int             // sections written into the current file
+	w      *runfile.Writer // reused across runs (Reset), nil until first run
+	broken bool            // a failed append left bytes of unknown length; stop appending
 }
 
 // rotateEvery resolves Options.SpoolRotateBytes: the dead-byte
@@ -748,37 +454,37 @@ func rotateEvery(v int64) int64 {
 func (sp *spool[K, V]) ensure() error {
 	s := sp.s
 	if sp.broken {
-		return fmt.Errorf("shuffle: %s %s unusable after earlier write failure", sp.kind, sp.rf.path)
+		return fmt.Errorf("shuffle: spool %s unusable after earlier write failure", sp.rf.path)
 	}
 	if sp.f != nil {
 		if re := rotateEvery(s.opts.SpoolRotateBytes); re > 0 && sp.rf.dead.Load() >= re {
-			if f, err := s.fs.CreateTemp(s.opts.SpillDir, sp.pattern); err == nil {
+			if f, err := s.fs.CreateTemp(s.opts.SpillDir, "mr-spool-*.run"); err == nil {
 				old, oldRF := sp.f, sp.rf
 				sp.f, sp.rf, sp.off, sp.n = f, &runFile{path: f.Name()}, 0, 0
 				sp.rf.refs.Store(1)
 				// The old handle is done: surviving sections are reopened
-				// by path (merge cursors, swap readback), so only the
-				// writer held it. Close errors are unactionable here.
+				// by path, so only the writer held it. Close errors are
+				// unactionable here.
 				old.Close()
 				if rerr := oldRF.release(s.fs, &s.bytesReclaimed); rerr != nil {
-					return fmt.Errorf("shuffle: removing rotated %s %s: %w", sp.kind, oldRF.path, rerr)
+					return fmt.Errorf("shuffle: removing rotated spool %s: %w", oldRF.path, rerr)
 				}
 			}
 		}
 		return nil
 	}
-	f, err := s.fs.CreateTemp(s.opts.SpillDir, sp.pattern)
+	f, err := s.fs.CreateTemp(s.opts.SpillDir, "mr-spool-*.run")
 	if err != nil {
-		return fmt.Errorf("shuffle: creating %s: %w", sp.kind, err)
+		return fmt.Errorf("shuffle: creating spool: %w", err)
 	}
 	sp.f, sp.rf, sp.off, sp.n = f, &runFile{path: f.Name()}, 0, 0
 	sp.rf.refs.Store(1) // the open writer's own hold, released by close
 	return nil
 }
 
-// addRunGroups appends one already-grouped, already-combined run to
-// the spool, keys in sorted order, reusing one runfile.Writer (and its
-// write buffer) across every run the spool ever writes.
+// addRunGroups appends one grouped, combined run to the spool, keys in
+// sorted order, reusing one runfile.Writer (and its write buffer)
+// across every run the spool ever writes.
 func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr diskRun[K], body, idx int64, retErr error) {
 	if err := sp.ensure(); err != nil {
 		return dr, 0, 0, err
@@ -795,7 +501,7 @@ func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr
 	}
 	if err := w.Finish(); err != nil {
 		sp.broken = true
-		return dr, 0, 0, fmt.Errorf("shuffle: flushing %s %s: %w", sp.kind, sp.f.Name(), err)
+		return dr, 0, 0, fmt.Errorf("shuffle: flushing spool %s: %w", sp.f.Name(), err)
 	}
 	dr = diskRun[K]{
 		file: sp.rf, off: sp.off, size: w.BytesWritten(), pairs: pairs,
@@ -804,58 +510,18 @@ func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr
 	sp.off += w.BytesWritten()
 	sp.rf.size.Store(sp.off)
 	sp.n++
-	// Reference the run immediately: a compaction in the same step may
-	// release it long before the spool closes.
+	// Reference the run immediately: an abort or compaction may release
+	// it long before the spool closes.
 	sp.rf.refs.Add(1)
 	return dr, w.BodyBytes(), w.BytesWritten() - w.BodyBytes(), nil
 }
 
-// addSwap appends one staged task's blocks as a single raw section: a
-// pair count followed by each pair's length-framed encoded key and
-// value, in flush order — no grouping, no sort, no combine, because
-// the bytes come straight back at absorb time and must reproduce the
-// exact staged stream.
-func (sp *spool[K, V]) addSwap(blocks [][]Pair[K, V], nPairs int) (sec swapSec, retErr error) {
-	if err := sp.ensure(); err != nil {
-		return sec, err
-	}
-	buf := binary.AppendUvarint(sp.wbuf[:0], uint64(nPairs))
-	kb := sp.kbuf
-	var err error
-	for _, blk := range blocks {
-		for i := range blk {
-			if kb, err = runfile.Append(kb[:0], blk[i].Key); err != nil {
-				return sec, fmt.Errorf("shuffle: swapping key: %w", err)
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(kb)))
-			buf = append(buf, kb...)
-			if kb, err = runfile.Append(kb[:0], blk[i].Value); err != nil {
-				return sec, fmt.Errorf("shuffle: swapping value: %w", err)
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(kb)))
-			buf = append(buf, kb...)
-		}
-	}
-	sp.wbuf, sp.kbuf = buf, kb
-	if _, err := sp.f.Write(buf); err != nil {
-		sp.broken = true
-		return sec, fmt.Errorf("shuffle: writing %s %s: %w", sp.kind, sp.f.Name(), err)
-	}
-	sec = swapSec{rf: sp.rf, off: sp.off, size: int64(len(buf)), pairs: nPairs}
-	sp.off += int64(len(buf))
-	sp.rf.size.Store(sp.off)
-	sp.n++
-	sp.rf.refs.Add(1)
-	return sec, nil
-}
-
 // close releases the writer's hold on the spool file (removing it when
-// no recorded section survives — for a drained stash that is the
-// normal case, and the removal credits reclaimed when non-nil) and
-// closes the handle. Both the close and the removal can fail and both
-// are reported — a leaked spill file is as real a failure as a leaked
-// run file — except on a spool already marked broken, whose append
-// failure surfaced first.
+// no recorded section survives; the removal credits reclaimed when
+// non-nil) and closes the handle. Both the close and the removal can
+// fail and both are reported — a leaked spill file is as real a failure
+// as a leaked run file — except on a spool already marked broken, whose
+// append failure surfaced first.
 func (sp *spool[K, V]) close(reclaimed *atomic.Int64) error {
 	if sp.f == nil {
 		return nil
@@ -867,72 +533,10 @@ func (sp *spool[K, V]) close(reclaimed *atomic.Int64) error {
 		return nil
 	}
 	if closeErr != nil && sp.n > 0 {
-		return fmt.Errorf("shuffle: closing %s %s: %w", sp.kind, sp.rf.path, closeErr)
+		return fmt.Errorf("shuffle: closing spool %s: %w", sp.rf.path, closeErr)
 	}
 	if releaseErr != nil {
-		return fmt.Errorf("shuffle: removing %s %s: %w", sp.kind, sp.rf.path, releaseErr)
+		return fmt.Errorf("shuffle: removing spool %s: %w", sp.rf.path, releaseErr)
 	}
 	return nil
-}
-
-// Finish drains every partition to completion — the residual barrier,
-// run in parallel across partitions — closes the partitions' spools,
-// waits out the background compaction queue, and returns the
-// ingestion's first error. After Finish (with all tasks committed)
-// every pair is absorbed and the shuffle is ready for Stats and reads.
-func (in *Ingester[K, V]) Finish() error {
-	start := time.Now()
-	in.finishing.Store(true)
-	s := in.s
-	workers := runtime.GOMAXPROCS(0)
-	if workers > s.nparts {
-		workers = s.nparts
-	}
-	var wg sync.WaitGroup
-	pCh := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range pCh {
-				st := &s.parts[p]
-				st.mu.Lock()
-				err := in.ingestStep(st, true)
-				// The round's ingest writes are done; release the spools'
-				// write handles. A fully drained stash is removed here and
-				// its bytes credited as reclaimed; the seal spool usually
-				// survives until Close on its runs' references.
-				if st.pspool != nil {
-					if cerr := st.pspool.close(&s.bytesReclaimed); cerr != nil && err == nil {
-						err = cerr
-					}
-					st.pspool = nil
-				}
-				if st.stash != nil {
-					if cerr := st.stash.close(&s.bytesReclaimed); cerr != nil && err == nil {
-						err = cerr
-					}
-					st.stash = nil
-				}
-				st.mu.Unlock()
-				if err != nil {
-					in.fail(err)
-				}
-			}
-		}()
-	}
-	for p := 0; p < s.nparts; p++ {
-		pCh <- p
-	}
-	close(pCh)
-	wg.Wait()
-	// Background compactions may still be rewriting run files; the
-	// round must not report success while one of them is failing
-	// (nothing else would surface the error before reads hit missing
-	// files).
-	if err := s.waitCompactions(); err != nil {
-		in.fail(err)
-	}
-	in.finishNs.Add(time.Since(start).Nanoseconds())
-	return in.Err()
 }

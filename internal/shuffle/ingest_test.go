@@ -29,63 +29,28 @@ func ingestTasks(nTasks, perTask, keys int) [][]Pair[int, int] {
 	return tasks
 }
 
-// streamTasks drives the tasks through an Ingester with the given
-// number of concurrent workers, committing each task on completion.
-func streamTasks(t testing.TB, s *Shuffle[int, int], tasks [][]Pair[int, int], workers int) {
-	t.Helper()
-	ing := s.NewIngester()
-	var wg sync.WaitGroup
-	taskCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range taskCh {
-				tw := ing.Task(ti, 0)
-				for _, p := range tasks[ti] {
-					tw.Emit(p.Key, p.Value)
-				}
-				if err := tw.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	for ti := range tasks {
-		taskCh <- ti
-	}
-	close(taskCh)
-	wg.Wait()
-	if err := ing.Finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// collectGroups streams every partition's groups into one map.
-func collectGroups(t testing.TB, s *Shuffle[int, int]) map[int][]int {
-	t.Helper()
-	got := make(map[int][]int)
-	for p := 0; p < s.NumPartitions(); p++ {
-		err := s.Partition(p).ForEachGroup(func(k int, vs []int) error {
-			got[k] = append([]int(nil), vs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+// taskOrder is the reference grouping: every key's values in (task
+// order, emission order).
+func taskOrder(tasks [][]Pair[int, int]) map[int][]int {
+	want := make(map[int][]int)
+	for _, ps := range tasks {
+		for _, p := range ps {
+			want[p.Key] = append(want[p.Key], p.Value)
 		}
 	}
-	return got
+	return want
 }
 
-// TestStreamingMatchesMerge pins the streaming path's value-order
-// contract against the barrier path: for the same tasks, every key's
-// concatenated values must be byte-identical — (task order, emission
-// order) — whether the shuffle was fed by concurrent streaming writers
-// or a post-phase Merge, across spill on/off and combiner on/off.
+// TestStreamingMatchesMerge pins the value-order contract: for the same
+// tasks, every key's concatenated values must equal the (task order,
+// emission order) reference whether the shuffle was fed by one writer
+// or by concurrent writers committing out of order, across spill on
+// and off. With the combiner pushed down only the per-key sums are
+// comparable, since combine points depend on the writer threshold.
 func TestStreamingMatchesMerge(t *testing.T) {
 	const nTasks, perTask, keys = 24, 50, 17
 	tasks := ingestTasks(nTasks, perTask, keys)
+	want := taskOrder(tasks)
 	sum := func(_ int, vs []int) []int {
 		total := 0
 		for _, v := range vs {
@@ -103,116 +68,86 @@ func TestStreamingMatchesMerge(t *testing.T) {
 		{"spill-combiner", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Partitions: 4, MaxBufferedPairs: 32, BlockPairs: 16}
-			if tc.spill {
-				opts.SpillDir = t.TempDir()
-			}
-			merged := New[int, int](opts)
-			if tc.combine {
-				merged.SetCombiner(sum)
-			}
-			bufs := make([]*TaskBuffer[int, int], len(tasks))
-			for ti, ps := range tasks {
-				bufs[ti] = merged.NewTaskBuffer()
-				for _, p := range ps {
-					bufs[ti].Emit(p.Key, p.Value)
+			for _, writers := range []int{1, 4} {
+				opts := Options{Partitions: 4, MemoryBudget: 32}
+				if tc.spill {
+					opts.SpillDir = t.TempDir()
 				}
-			}
-			if err := merged.Merge(bufs); err != nil {
-				t.Fatal(err)
-			}
-			defer merged.Close()
-
-			if tc.spill {
-				opts.SpillDir = t.TempDir()
-			}
-			streamed := New[int, int](opts)
-			if tc.combine {
-				streamed.SetCombiner(sum)
-			}
-			streamTasks(t, streamed, tasks, 4)
-			defer streamed.Close()
-
-			want := collectGroups(t, merged)
-			got := collectGroups(t, streamed)
-			if tc.combine {
-				// Combine application points differ between the paths
-				// (seal timing vs fence timing), so only the per-key sums
-				// are comparable.
-				for k, vs := range want {
-					var ws, gs int
-					for _, v := range vs {
-						ws += v
-					}
-					for _, v := range got[k] {
-						gs += v
-					}
-					if ws != gs {
-						t.Fatalf("key %d: streamed sum %d, merged sum %d", k, gs, ws)
-					}
+				s := New[int, int](opts)
+				if tc.combine {
+					s.SetCombiner(sum)
 				}
-				return
-			}
-			if !reflect.DeepEqual(got, want) {
-				for k := range want {
-					if !reflect.DeepEqual(got[k], want[k]) {
-						t.Fatalf("key %d values diverge\nstreamed %v\nmerged   %v", k, got[k], want[k])
-					}
+				writeTasks(t, s, 0, tasks, writers)
+				got := allGroups(t, s)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
 				}
-				t.Fatalf("group sets diverge: %d streamed keys, %d merged", len(got), len(want))
+				if tc.combine {
+					for k, vs := range want {
+						if ws, gs := sum(k, vs)[0], sum(k, got[k])[0]; ws != gs {
+							t.Fatalf("%d writers, key %d: sum %d, want %d", writers, k, gs, ws)
+						}
+					}
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					for k := range want {
+						if !reflect.DeepEqual(got[k], want[k]) {
+							t.Fatalf("%d writers, key %d values diverge\ngot  %v\nwant %v", writers, k, got[k], want[k])
+						}
+					}
+					t.Fatalf("%d writers: group sets diverge: %d keys, want %d", writers, len(got), len(want))
+				}
 			}
 		})
 	}
 }
 
-// TestStreamingAbortFencesFlushedPairs emits a full task through the
-// ingester, aborts it, retries under a new attempt, and requires that
-// none of the aborted attempt's pairs — staged blocks and fenced spill
-// runs alike — are visible, while the retry's pairs all are, and that
-// no spill file outlives Close.
+// TestStreamingAbortFencesFlushedPairs emits a full task, aborts it
+// after it sealed sections to disk, retries it under a new attempt, and
+// requires that none of the aborted attempt's pairs are visible, that
+// the retry's and a later task's pairs all are — in task order although
+// task 1 committed first — and that no spill file outlives Close.
 func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
-	const budget, blockPairs = 8, 16
+	const budget = 8
 	fs := errfs.New(nil)
 	spillDir := t.TempDir()
 	s := New[int, int](Options{
-		Partitions: 1, MaxBufferedPairs: budget, BlockPairs: blockPairs,
-		SpillDir: spillDir, FS: fs,
+		Partitions: 1, MemoryBudget: budget, SpillDir: spillDir, FS: fs,
 	})
 	defer s.Close()
-	ing := s.NewIngester()
+	tw := s.TaskWriters(1)[0]
 
-	// Task 1 commits first but stays above the watermark (task 0 is
-	// unfinished), so its blocks stage and, with the budget this small,
-	// fence to disk — uncommitted-spill machinery in action.
-	tw1 := ing.Task(1, 0)
+	// Task 1 commits first; task 0's runs must still read back ahead of
+	// it.
+	tw.Begin(1, 0)
 	for i := 0; i < 64; i++ {
-		tw1.Emit(i%5, 1000+i)
+		tw.Emit(i%5, 1000+i)
 	}
-	if err := tw1.Commit(); err != nil {
+	if err := tw.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Task 0 attempt 0: emits everything (flushing along the way, which
-	// fences under this tiny budget), then fails. Its flushed pairs
-	// must be fenced off.
-	tw0 := ing.Task(0, 0)
+	// Task 0 attempt 0: emits everything (sealing sections along the
+	// way under this tiny budget), then fails.
+	creates := fs.Calls(errfs.OpCreate)
+	tw.Begin(0, 0)
 	for i := 0; i < 64; i++ {
-		tw0.Emit(i%5, -1) // poison values: must never appear
+		tw.Emit(i%5, -1) // poison values: must never appear
 	}
-	if fs.Calls(errfs.OpCreate) == 0 {
+	if fs.Calls(errfs.OpWrite) == 0 || creates == 0 {
 		t.Fatal("attempt never spilled; the fencing path is not exercised")
 	}
-	tw0.Abort()
+	tw.Abort()
 
-	// Retry commits clean data; the watermark then passes both tasks.
-	tw0r := ing.Task(0, 1)
+	tw.Begin(0, 1)
 	for i := 0; i < 64; i++ {
-		tw0r.Emit(i%5, i)
+		tw.Emit(i%5, i)
 	}
-	if err := tw0r.Commit(); err != nil {
+	if err := tw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ing.Finish(); err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +158,7 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 	if st.Pairs != 128 {
 		t.Fatalf("Pairs = %d, want 128 (64 from each committed task)", st.Pairs)
 	}
-	got := collectGroups(t, s)
+	got := allGroups(t, s)
 	total := 0
 	for k, vs := range got {
 		// Task order: task 0's retry values (i) precede task 1's (1000+i).
@@ -235,14 +170,13 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 				t.Fatalf("key %d: task order violated: %v", k, vs)
 			}
 		}
-		_ = k
 		total += len(vs)
 	}
 	if total != 128 {
 		t.Fatalf("streamed %d pairs, want 128", total)
 	}
 
-	// Every spill file — including spools holding aborted sections —
+	// Every spill file — including the spool holding aborted sections —
 	// is gone after Close.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -256,26 +190,24 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 	}
 }
 
-// TestStreamingPeakResidentBound is the whole-round memory assertion:
-// a dataset many times the total budget, streamed by concurrent
-// workers, must keep peak resident pairs within
-// P*MemoryBudget + workers*BlockPairs.
-func TestStreamingPeakResidentBound(t *testing.T) {
+// TestPeakResidentBound is the whole-round memory assertion: a dataset
+// many times the total budget, written by concurrent task writers that
+// share the budget, must keep peak resident pairs at or under
+// P*MemoryBudget — live runs and in-memory sealed runs alike counted.
+func TestPeakResidentBound(t *testing.T) {
 	const (
-		parts      = 4
-		budget     = 256
-		blockPairs = 64
-		workers    = 4
-		nTasks     = 32
-		perTask    = 1024 // 32k pairs ~ 32x the total budget
+		parts   = 4
+		budget  = 256
+		workers = 4
+		nTasks  = 32
+		perTask = 1024 // 32k pairs ~ 32x the total budget
 	)
 	tasks := ingestTasks(nTasks, perTask, 301)
 	s := New[int, int](Options{
-		Partitions: parts, MaxBufferedPairs: budget,
-		BlockPairs: blockPairs, SpillDir: t.TempDir(),
+		Partitions: parts, MemoryBudget: budget, SpillDir: t.TempDir(),
 	})
 	defer s.Close()
-	streamTasks(t, s, tasks, workers)
+	writeTasks(t, s, 0, tasks, workers)
 
 	st, err := s.Stats()
 	if err != nil {
@@ -284,19 +216,20 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 	if st.Pairs != nTasks*perTask {
 		t.Fatalf("Pairs = %d, want %d", st.Pairs, nTasks*perTask)
 	}
-	if st.MaxLivePairs > budget {
-		t.Errorf("MaxLivePairs = %d exceeds budget %d", st.MaxLivePairs, budget)
+	if st.MaxLivePairs > budget/workers {
+		t.Errorf("MaxLivePairs = %d exceeds the writer threshold %d", st.MaxLivePairs, budget/workers)
 	}
-	bound := int64(parts*budget + workers*blockPairs)
-	if st.PeakResidentPairs > bound {
-		t.Errorf("PeakResidentPairs = %d exceeds bound %d (= %d*%d + %d*%d)",
-			st.PeakResidentPairs, bound, parts, budget, workers, blockPairs)
+	if bound := int64(parts * budget); st.PeakResidentPairs > bound {
+		t.Errorf("PeakResidentPairs = %d exceeds P*MemoryBudget = %d", st.PeakResidentPairs, bound)
 	}
 	if st.PeakResidentPairs <= 0 {
 		t.Error("PeakResidentPairs = 0: metric never measured anything")
 	}
+	if s.ResidentPairs() != 0 {
+		t.Errorf("ResidentPairs = %d after a spilled round, want 0", s.ResidentPairs())
+	}
 	// Everything still streams back complete and in order.
-	got := collectGroups(t, s)
+	got := allGroups(t, s)
 	total := 0
 	for _, vs := range got {
 		total += len(vs)
@@ -311,11 +244,11 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 	}
 }
 
-// TestStreamingStress is the -race workout: many workers flushing
-// concurrently into few partitions with a tiny budget (constant
-// fencing and compaction), injected aborts with retries, and a final
-// exact comparison of every key's value sequence against the
-// single-threaded expectation.
+// TestStreamingStress is the -race workout: many writers committing
+// concurrently into few partitions with a tiny budget (constant sealing
+// and compaction), injected aborts with retries, and a final exact
+// comparison of every key's value sequence against the single-threaded
+// expectation.
 func TestStreamingStress(t *testing.T) {
 	const (
 		nTasks, perTask, keys = 60, 40, 11
@@ -323,12 +256,10 @@ func TestStreamingStress(t *testing.T) {
 	)
 	tasks := ingestTasks(nTasks, perTask, keys)
 	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: 16, BlockPairs: 16,
-		SpillDir: t.TempDir(),
+		Partitions: 2, MemoryBudget: 16, SpillDir: t.TempDir(),
 	})
 	defer s.Close()
 
-	ing := s.NewIngester()
 	rng := rand.New(rand.NewSource(42))
 	abortFirst := make([]bool, nTasks) // decided up front; workers read only
 	for i := range abortFirst {
@@ -336,22 +267,22 @@ func TestStreamingStress(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	taskCh := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, tw := range s.TaskWriters(workers) {
 		wg.Add(1)
-		go func() {
+		go func(tw *TaskWriter[int, int]) {
 			defer wg.Done()
 			for ti := range taskCh {
 				attempt := 0
 				if abortFirst[ti] {
-					tw := ing.Task(ti, attempt)
-					// Emit a prefix (flushing some blocks), then abort.
+					tw.Begin(ti, attempt)
+					// Emit a prefix (sealing some runs), then abort.
 					for _, p := range tasks[ti][:perTask/2] {
 						tw.Emit(p.Key, -p.Value-1) // poison
 					}
 					tw.Abort()
 					attempt++
 				}
-				tw := ing.Task(ti, attempt)
+				tw.Begin(ti, attempt)
 				for _, p := range tasks[ti] {
 					tw.Emit(p.Key, p.Value)
 				}
@@ -360,24 +291,19 @@ func TestStreamingStress(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(tw)
 	}
 	for ti := range tasks {
 		taskCh <- ti
 	}
 	close(taskCh)
 	wg.Wait()
-	if err := ing.Finish(); err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
-	want := make(map[int][]int)
-	for _, ps := range tasks {
-		for _, p := range ps {
-			want[p.Key] = append(want[p.Key], p.Value)
-		}
-	}
-	got := collectGroups(t, s)
+	want := taskOrder(tasks)
+	got := allGroups(t, s)
 	if !reflect.DeepEqual(got, want) {
 		for k := range want {
 			if !reflect.DeepEqual(got[k], want[k]) {
@@ -388,43 +314,34 @@ func TestStreamingStress(t *testing.T) {
 	}
 }
 
-// TestStreamingFaultInjection marches errfs failures through the
-// streaming path's disk surface — fence-spill creates and writes, seal
-// writes, closes — and requires the injected cause to surface wrapped
-// from Commit or Finish, with Close still cleaning up.
+// TestStreamingFaultInjection marches errfs failures through the task
+// writers' disk surface — spool creates, section writes, closes — and
+// requires the injected cause to surface wrapped from Commit or Finish,
+// with Close still cleaning up.
 func TestStreamingFaultInjection(t *testing.T) {
+	tasks := make([][]Pair[int, int], 6)
+	for ti := range tasks {
+		for i := 0; i < 32; i++ {
+			tasks[ti] = append(tasks[ti], Pair[int, int]{i % 5, ti*100 + i})
+		}
+	}
 	workload := func(fs *errfs.FS) error {
 		s := New[int, int](Options{
-			Partitions: 1, MaxBufferedPairs: 4, BlockPairs: 16,
-			SpillDir: t.TempDir(), FS: fs,
+			Partitions: 1, MemoryBudget: 4, SpillDir: t.TempDir(), FS: fs,
 		})
 		defer s.Close()
-		ing := s.NewIngester()
-		var firstErr error
-		for ti := 0; ti < 6; ti++ {
-			tw := ing.Task(ti, 0)
-			for i := 0; i < 32; i++ {
-				tw.Emit(i%5, ti*100+i)
-			}
-			if err := tw.Commit(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if err := ing.Finish(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		return firstErr
+		return runTasks(s, 0, tasks, 2)
 	}
 
 	// Probe: count a clean run's operations. (Creates are few by
-	// design: the partition's pressure spool batches every fence and
-	// early seal into one file.)
+	// design: each of the two writers' spools holds every section it
+	// seals in the round.)
 	probe := errfs.New(nil)
 	if err := workload(probe); err != nil {
 		t.Fatalf("clean streaming run failed: %v", err)
 	}
 	creates, writes, closes := probe.Calls(errfs.OpCreate), probe.Calls(errfs.OpWrite), probe.Calls(errfs.OpClose)
-	if creates < 1 || writes < 3 || closes < 1 {
+	if creates < 2 || writes < 3 || closes < 2 {
 		t.Fatalf("clean run did %d creates / %d writes / %d closes; spill path never engaged",
 			creates, writes, closes)
 	}
@@ -468,38 +385,34 @@ func TestStreamingFaultInjection(t *testing.T) {
 }
 
 // TestSpoolRotationFaultTolerance marches an injected create failure
-// over every file-create a rotating streaming round performs. Spool
+// over every file-create a rotating round performs. Spool
 // rotation creates the replacement file before retiring the old one,
 // and a failed rotation create is opportunistic — the round keeps the
 // old spool and carries on. So each ordinal must end one of two ways:
 // the round fails with the injected cause wrapped (a mandatory create
-// — first spool, swap stash, compaction output), or it succeeds with
+// — first spool, compaction output), or it succeeds with
 // byte-identical output (a rotation create). At least one ordinal must
 // take the survivable path, proving rotation actually engaged.
 func TestSpoolRotationFaultTolerance(t *testing.T) {
 	const nTasks, perTask, keys = 12, 48, 7
 	tasks := ingestTasks(nTasks, perTask, keys)
-	want := make(map[int][]int)
-	for _, ps := range tasks {
-		for _, p := range ps {
-			want[p.Key] = append(want[p.Key], p.Value)
-		}
-	}
+	want := taskOrder(tasks)
 
 	run := func(fs *errfs.FS, rotate int64) (map[int][]int, Stats, error) {
+		// Budget 4: 144 sections, enough to cross the compaction bound,
+		// whose released inputs are the dead bytes rotation reclaims.
 		s := New[int, int](Options{
-			Partitions: 1, MaxBufferedPairs: 8, BlockPairs: 8,
-			SpillDir: t.TempDir(), FS: fs,
+			Partitions: 1, MemoryBudget: 4, SpillDir: t.TempDir(), FS: fs,
 			SpoolRotateBytes: rotate,
 			// Inline compaction keeps the round single-threaded, so the
 			// create ordinals are deterministic and the march is exact.
 			CompactionConcurrency: -1,
 		})
 		defer s.Close()
-		ing := s.NewIngester()
+		tw := s.TaskWriters(1)[0]
 		var firstErr error
 		for ti := range tasks {
-			tw := ing.Task(ti, 0)
+			tw.Begin(ti, 0)
 			for _, p := range tasks[ti] {
 				tw.Emit(p.Key, p.Value)
 			}
@@ -507,7 +420,7 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 				firstErr = err
 			}
 		}
-		if err := ing.Finish(); err != nil && firstErr == nil {
+		if err := s.Finish(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if firstErr != nil {
@@ -517,7 +430,7 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		return collectGroups(t, s), st, nil
+		return allGroups(t, s), st, nil
 	}
 
 	// Probe: rotation (threshold 1: any dead byte rotates) must create
@@ -566,22 +479,20 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 }
 
 // TestStreamingStatsInvalidation pins the memoized-Stats contract
-// under streaming ingestion: a Stats call mid-round memoizes the
-// profile, and every later mutation — absorbed blocks, seals,
-// background compactions, swap-section adds and releases — must
+// during a map phase: a Stats call mid-round memoizes the profile, and
+// every later mutation — commits, background compactions — must
 // invalidate that memo so the post-Finish Stats reflects the whole
 // round. (Same regression shape as the SetCombiner staleness fix: a
 // mutation path that forgets to invalidate serves the stale profile.)
 func TestStreamingStatsInvalidation(t *testing.T) {
 	const perTask = 64
 	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: 8, BlockPairs: 4,
-		SpillDir: t.TempDir(),
+		Partitions: 2, MemoryBudget: 8, SpillDir: t.TempDir(),
 	})
 	defer s.Close()
-	ing := s.NewIngester()
+	tw := s.TaskWriters(1)[0]
 
-	tw := ing.Task(0, 0)
+	tw.Begin(0, 0)
 	for i := 0; i < perTask; i++ {
 		tw.Emit(i%5, i)
 	}
@@ -599,14 +510,14 @@ func TestStreamingStatsInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tw = ing.Task(1, 0)
+	tw.Begin(1, 0)
 	for i := 0; i < perTask; i++ {
 		tw.Emit(i%5, 1000+i)
 	}
 	if err := tw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ing.Finish(); err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -624,7 +535,7 @@ func TestStreamingStatsInvalidation(t *testing.T) {
 		t.Fatalf("stale Stats memo: BytesSpilled %d not above mid-round %d",
 			st2.BytesSpilled, st1.BytesSpilled)
 	}
-	got := collectGroups(t, s)
+	got := allGroups(t, s)
 	total := 0
 	for _, vs := range got {
 		total += len(vs)
@@ -635,30 +546,20 @@ func TestStreamingStatsInvalidation(t *testing.T) {
 }
 
 // TestStreamingEmptyAndSingleTask covers the degenerate shapes: no
-// tasks at all, and one task owning every pair (the watermark cannot
-// advance until the very end, so everything stages and fences).
+// tasks at all, and one task owning every pair.
 func TestStreamingEmptyAndSingleTask(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
+	s := New[int, int](Options{Partitions: 2, MemoryBudget: 8, SpillDir: t.TempDir()})
 	defer s.Close()
-	ing := s.NewIngester()
-	if err := ing.Finish(); err != nil {
-		t.Fatalf("empty ingestion: %v", err)
-	}
+	writeTasks(t, s, 0, nil, 1)
 
-	s2 := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, BlockPairs: 16, SpillDir: t.TempDir()})
+	s2 := New[int, int](Options{Partitions: 2, MemoryBudget: 8, SpillDir: t.TempDir()})
 	defer s2.Close()
-	ing2 := s2.NewIngester()
-	tw := ing2.Task(0, 0)
 	const n = 512
-	for i := 0; i < n; i++ {
-		tw.Emit(i%7, i)
+	task := make([]Pair[int, int], n)
+	for i := range task {
+		task[i] = Pair[int, int]{i % 7, i}
 	}
-	if err := tw.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing2.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s2, task...)
 	st, err := s2.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -666,13 +567,12 @@ func TestStreamingEmptyAndSingleTask(t *testing.T) {
 	if st.Pairs != n {
 		t.Fatalf("Pairs = %d, want %d", st.Pairs, n)
 	}
-	// One giant task: the bound still holds because staged data fences
-	// to disk under pressure instead of accumulating in memory.
-	bound := int64(2*8 + 1*16)
-	if st.PeakResidentPairs > bound {
-		t.Errorf("single-task PeakResidentPairs = %d exceeds bound %d", st.PeakResidentPairs, bound)
+	// One giant task: the bound still holds because the task's runs
+	// seal to disk as it maps instead of accumulating in memory.
+	if bound := int64(2 * 8); st.PeakResidentPairs > bound {
+		t.Errorf("single-task PeakResidentPairs = %d exceeds P*MemoryBudget = %d", st.PeakResidentPairs, bound)
 	}
-	got := collectGroups(t, s2)
+	got := allGroups(t, s2)
 	total := 0
 	for _, vs := range got {
 		total += len(vs)

@@ -2,7 +2,6 @@ package shuffle
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/errfs"
@@ -30,17 +29,17 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 			fs.FailAt(op, nth, nil)
 			rec := obs.NewRecorder(0)
 			s := New[int, int](Options{
-				Partitions: 1, MaxBufferedPairs: 1, // one seal per pair: compaction runs
+				Partitions: 1, MemoryBudget: 1, // one seal per pair: compaction runs
 				SpillDir: t.TempDir(), FS: fs, Recorder: rec,
 			})
-			buf := s.NewTaskBuffer()
-			for i := 0; i < maxDiskRunFanIn+2; i++ {
-				buf.Emit(i%5, i)
+			var pairs []Pair[int, int]
+			for i := 0; i < maxDiskRunsPerPartition+2; i++ {
+				pairs = append(pairs, Pair[int, int]{i % 5, i})
 			}
-			err := s.Merge([]*TaskBuffer[int, int]{buf})
+			err := runTasks(s, 0, [][]Pair[int, int]{pairs}, 1)
 			if err == nil {
 				// Exercise the reduce-merge (open/read) path too.
-				err = s.Partition(0).ForEachGroup(func(int, []int) error { return nil })
+				err = eachGroup(s.Partition(0), false, func(int, []int) error { return nil })
 			}
 			if err != nil && !errors.Is(err, errfs.ErrInjected) {
 				t.Errorf("%v#%d: injected cause lost from the chain: %v", op, nth, err)
@@ -54,46 +53,25 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 }
 
 // TestRecorderConcurrentStress streams many tasks through concurrent
-// workers into a spilling shuffle with a deliberately tiny ring: the
-// map workers, pressure-relief fences and compactions all emit
-// concurrently, the rings wrap, and the recorder must count drops
-// instead of blocking or corrupting. Run under -race in CI.
+// task writers into a spilling shuffle with a deliberately tiny ring:
+// the writers' seals, aborts and the compactions all emit concurrently,
+// the rings wrap, and the recorder must count drops instead of blocking
+// or corrupting. Run under -race in CI.
 func TestRecorderConcurrentStress(t *testing.T) {
 	rec := obs.NewRecorder(16) // tiny: guarantees wrap under load
 	s := New[int, int](Options{
-		Partitions: 4, MaxBufferedPairs: 8, BlockPairs: 4,
-		SpillDir: t.TempDir(), Recorder: rec,
+		Partitions: 4, MemoryBudget: 8, SpillDir: t.TempDir(), Recorder: rec,
 	})
 	defer s.Close()
 
 	const workers, tasks, pairs = 8, 32, 200
-	ing := s.NewIngester()
-	var wg sync.WaitGroup
-	taskCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range taskCh {
-				tw := ing.Task(ti, 0)
-				for i := 0; i < pairs; i++ {
-					tw.Emit((ti*31+i)%97, i)
-				}
-				if err := tw.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	all := make([][]Pair[int, int], tasks)
+	for ti := range all {
+		for i := 0; i < pairs; i++ {
+			all[ti] = append(all[ti], Pair[int, int]{(ti*31 + i) % 97, i})
+		}
 	}
-	for ti := 0; ti < tasks; ti++ {
-		taskCh <- ti
-	}
-	close(taskCh)
-	wg.Wait()
-	if err := ing.Finish(); err != nil {
-		t.Fatal(err)
-	}
+	writeTasks(t, s, 0, all, workers)
 
 	// The run itself must be unharmed by recording...
 	var total int64
@@ -125,17 +103,15 @@ func TestStatsGroupSizeLog2(t *testing.T) {
 		t.Helper()
 		s := New[int, int](opts)
 		defer s.Close()
-		buf := s.NewTaskBuffer()
 		// Group sizes: key 0 → 1 pair, key 1 → 3, key 2 → 4, key 3 → 9.
 		sizes := []int{1, 3, 4, 9}
+		var pairs []Pair[int, int]
 		for k, n := range sizes {
 			for i := 0; i < n; i++ {
-				buf.Emit(k, i)
+				pairs = append(pairs, Pair[int, int]{k, i})
 			}
 		}
-		if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
+		writeTask(t, s, pairs...)
 		st, err := s.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +131,7 @@ func TestStatsGroupSizeLog2(t *testing.T) {
 		check(t, Options{Partitions: 2})
 	})
 	t.Run("spilled", func(t *testing.T) {
-		check(t, Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
+		check(t, Options{Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir()})
 	})
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// rangeRef drains a partition through the whole-partition merge into an
+// rangeRef drains a partition through the whole-range merge into an
 // ordered (key, values) sequence — the reference a range-split read
 // must reproduce exactly, order included.
 type rangeGroup[K comparable] struct {
@@ -19,7 +19,7 @@ type rangeGroup[K comparable] struct {
 func rangeRef[K comparable](t *testing.T, p Partition[K, int]) []rangeGroup[K] {
 	t.Helper()
 	var ref []rangeGroup[K]
-	if err := p.ForEachGroup(func(k K, vs []int) error {
+	if err := eachGroup(p, false, func(k K, vs []int) error {
 		ref = append(ref, rangeGroup[K]{Key: k, Vs: append([]int(nil), vs...)})
 		return nil
 	}); err != nil {
@@ -102,25 +102,23 @@ func TestPlanReduceRangesEquivalence(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		opts := Options{Partitions: 2}
 		if trial%2 == 0 {
-			opts.MaxBufferedPairs = 4 + rng.Intn(16)
+			opts.MemoryBudget = 4 + rng.Intn(16)
 			opts.SpillDir = t.TempDir()
 		}
 		if trial%4 == 1 {
-			opts.MaxBufferedPairs = 8 // sealed in-memory runs, no disk
+			opts.MemoryBudget = 8 // sealed in-memory runs, no disk
 		}
 		s := New[string, int](opts)
 		s.SetPartitioner(func(string) int { return 0 })
-		buf := s.NewTaskBuffer()
+		var pairs []Pair[string, int]
 		nKeys := 1 + rng.Intn(40)
 		nPairs := 1 + rng.Intn(400)
 		for i := 0; i < nPairs; i++ {
 			// Skewed: low key numbers get the bulk of the pairs.
 			k := fmt.Sprintf("k%03d", int(float64(nKeys)*rng.Float64()*rng.Float64()))
-			buf.Emit(k, i)
+			pairs = append(pairs, Pair[string, int]{k, i})
 		}
-		if err := s.Merge([]*TaskBuffer[string, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
+		writeTasks(t, s, 0, roundRobin(1+trial%3, pairs), 2)
 		p := s.Partition(0)
 		ref := rangeRef(t, p)
 		target := int64(1 + rng.Intn(nPairs))
@@ -154,22 +152,19 @@ func TestPlanReduceRangesEquivalence(t *testing.T) {
 func TestRangeSplitCollidingKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	colliders := []k2{{"a b", "c"}, {"a", "b c"}} // both format as "{a b c}"
-	s := New[k2, int](Options{Partitions: 2, MaxBufferedPairs: 5, SpillDir: t.TempDir()})
+	s := New[k2, int](Options{Partitions: 2, MemoryBudget: 5, SpillDir: t.TempDir()})
 	defer s.Close()
 	s.SetPartitioner(func(k2) int { return 0 })
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[k2, int]
 	// The colliding class carries most of the load, so a naive planner
 	// chasing the target would want to cut inside it.
 	for i := 0; i < 120; i++ {
-		buf.Emit(colliders[i%2], i)
+		pairs = append(pairs, Pair[k2, int]{colliders[i%2], i})
 	}
 	for i := 0; i < 30; i++ {
-		buf.Emit(k2{"x", fmt.Sprint(i % 5)}, i)
-		buf.Emit(k2{"zz", fmt.Sprint(i % 3)}, i)
+		pairs = append(pairs, Pair[k2, int]{k2{"x", fmt.Sprint(i % 5)}, i}, Pair[k2, int]{k2{"zz", fmt.Sprint(i % 3)}, i})
 	}
-	if err := s.Merge([]*TaskBuffer[k2, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 	p := s.Partition(0)
 	ref := rangeRef(t, p)
 	ranges := p.PlanReduceRanges(20, 8)
@@ -203,9 +198,9 @@ func TestRangeSplitCollidingKeys(t *testing.T) {
 	}
 }
 
-// TestPlanRangesFromCounts covers the standalone planner and Clamp used
-// by proc reduce workers: class-aligned cuts over an aggregated
-// (key, count) profile, and index windows that tile the key space.
+// TestPlanRangesFromCounts covers the planner behind PlanReduceRanges
+// and Clamp: class-aligned cuts over an aggregated (key, count)
+// profile, and index windows that tile the key space.
 func TestPlanRangesFromCounts(t *testing.T) {
 	keys := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	counts := []int64{10, 1, 1, 10, 1, 1, 10, 1}

@@ -11,11 +11,11 @@
 // cannot separate — never straddles two ranges, and the one-reducer-
 // per-group contract survives the split.
 //
-// RangeReader is the concurrent read surface: it opens the partition's
-// spool files and mmaps once (openRunViews — the same shared per-spool
-// mapping the whole-partition merge uses), and each ForEachGroupRange
-// call builds its own clamped cursor set over subslices of the resident
-// indexes, seeked by binary search. Ranges emitted in plan order
+// RangeReader is the one read surface, split or not: it opens the
+// partition's spool files and run mappings once (openRunViews), and
+// each ForEachGroupRange call builds its own clamped cursor set over
+// subslices of the resident indexes, seeked by binary search; the zero
+// KeyRange is the whole partition. Ranges emitted in plan order
 // concatenate to exactly the whole-partition merge's group sequence,
 // value-order contract included, which is the determinism argument: the
 // split changes who reads a group, never what the group is or where it
@@ -77,64 +77,33 @@ func (r KeyRange[K]) Contains(k K) bool {
 // PlanReduceRanges cuts the partition into class-aligned key ranges of
 // roughly targetPairs pairs each, weighted by the resident indexes'
 // per-group counts (a pure in-memory counting merge — no run file is
-// opened). maxRanges caps the cut; the final range absorbs whatever
-// remains. Returns nil — meaning "don't split" — when targetPairs or
-// maxRanges disables splitting, when the partition is empty or fits a
-// single range, or when the counting pass fails (the whole-partition
-// merge will surface the error).
+// opened) and cut by PlanRangesFromCounts. maxRanges caps the cut; the
+// final range absorbs whatever remains. Returns nil — meaning "don't
+// split" — when targetPairs or maxRanges disables splitting, when the
+// partition fits a single range, or when the counting pass fails (the
+// range merge will surface the error).
 func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []KeyRange[K] {
-	if targetPairs <= 0 || maxRanges <= 1 {
+	if targetPairs <= 0 || maxRanges <= 1 || p.Pairs() <= targetPairs {
 		return nil
 	}
-	less := nativeLess[K]()
-	var ranges []KeyRange[K]
-	var cur KeyRange[K]
-	var curPairs, curKeys int64
-	var prev K
-	var prevFmt string
-	started := false
-	err := p.forEachGroup(false, false, func(k K, count int, _ []V) error {
-		var kf string
-		if less == nil {
-			kf = fmt.Sprint(k)
-		}
-		if started && curPairs >= targetPairs && len(ranges) < maxRanges-1 {
-			// Close the current range here only if k starts a new
-			// order-equivalence class: strictly greater than the previous
-			// group under the comparator. Groups the comparator cannot
-			// separate stay together.
-			classStart := false
-			if less != nil {
-				classStart = less(prev, k)
-			} else {
-				classStart = prevFmt < kf
-			}
-			if classStart {
-				cur.Hi, cur.HasHi, cur.hiFmt = k, true, kf
-				cur.Pairs, cur.Keys = curPairs, curKeys
-				ranges = append(ranges, cur)
-				cur = KeyRange[K]{Lo: k, HasLo: true, loFmt: kf}
-				curPairs, curKeys = 0, 0
-			}
-		}
-		curPairs += int64(count)
-		curKeys++
-		prev, prevFmt, started = k, kf, true
+	var keys []K
+	var counts []int64
+	err := p.forEachGroup(func(k K, count int) error {
+		keys = append(keys, k)
+		counts = append(counts, int64(count))
 		return nil
 	})
-	if err != nil || !started || len(ranges) == 0 {
+	if err != nil {
 		return nil
 	}
-	cur.Pairs, cur.Keys = curPairs, curKeys
-	ranges = append(ranges, cur)
-	return ranges
+	return PlanRangesFromCounts(keys, counts, targetPairs, maxRanges)
 }
 
 // PlanRangesFromCounts cuts a sorted distinct-key sequence with per-key
-// pair counts into class-aligned ranges of roughly targetPairs pairs —
-// the standalone twin of Partition.PlanReduceRanges for callers that
-// already aggregated their (key, count) profile (proc reduce workers
-// plan from their sections' decoded indexes). keys must be in canonical
+// pair counts into class-aligned ranges of roughly targetPairs pairs: a
+// range closes once its load reaches the target, but only where the
+// next key starts a new order-equivalence class, so keys the fallback
+// comparator cannot separate stay together. keys must be in canonical
 // order (SortKeys). Returns nil when splitting is disabled or the
 // sequence fits a single range.
 func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs int64, maxRanges int) []KeyRange[K] {
@@ -178,8 +147,7 @@ func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs in
 }
 
 // Clamp resolves the range to the [lo, hi) index window of keys, which
-// must be sorted in canonical order — the exported seek proc reduce
-// workers use to slice their section cursors per range.
+// must be sorted in canonical order.
 func (r KeyRange[K]) Clamp(keys []K) (lo, hi int) {
 	return clampRange(len(keys), func(i int) K { return keys[i] }, nativeLess[K](), r)
 }
@@ -214,7 +182,7 @@ func clampRange[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, 
 
 // RangeReader reads disjoint key ranges of one partition concurrently.
 // It holds the partition's read surface open once — spool handles and
-// shared mmaps (openRunViews), the disk-read semaphore slot, the
+// run mappings (openRunViews), the disk-read semaphore slot, the
 // reduce-merge span — while any number of goroutines each run
 // ForEachGroupRange over their own range. Close releases all of it.
 // The partition must be quiescent (reduce phase): no concurrent writes.
@@ -223,11 +191,10 @@ type RangeReader[K comparable, V any] struct {
 	st   *partitionState[K, V]
 	less func(a, b K) bool
 
-	views    []runView // one per disk run, sharing per-spool handles/mmaps
+	views    []runView // one per disk run, sharing per-file handles
 	closeAll func()
 
-	memRuns []map[K][]V // sealed in-memory runs, then the live run
-	memKeys [][]K       // their sorted key slices, computed once
+	mem []memRun[K, V] // in-memory runs, in run order
 
 	hasDisk   bool
 	closeOnce sync.Once
@@ -236,7 +203,7 @@ type RangeReader[K comparable, V any] struct {
 
 // OpenRangeReader opens the partition's shared read surface for
 // concurrent range merges. With disk runs it takes a disk-read
-// semaphore slot and opens every spool handle and mapping exactly once,
+// semaphore slot and opens every spool handle and run mapping once,
 // held until Close; the reduce-merge span covers the same window.
 func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 	st := &p.s.parts[p.idx]
@@ -257,14 +224,7 @@ func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 		}
 		rr.views, rr.closeAll = views, closeAll
 	}
-	for _, run := range st.runs {
-		rr.memRuns = append(rr.memRuns, run)
-		rr.memKeys = append(rr.memKeys, sortedMapKeys(run))
-	}
-	if len(st.live) > 0 {
-		rr.memRuns = append(rr.memRuns, st.live)
-		rr.memKeys = append(rr.memKeys, sortedMapKeys(st.live))
-	}
+	rr.mem = st.mem
 	return rr, nil
 }
 
@@ -284,13 +244,17 @@ func (rr *RangeReader[K, V]) Close() error {
 }
 
 // ForEachGroupRange streams the partition's groups inside r, in
-// canonical key order, through fn — the clamped twin of ForEachGroup
-// (reuseValues false) and ForEachGroupBatch (reuseValues true: the
-// slice is scratch, valid only during the call). Every cursor is seeked
-// to the range by binary search over its resident index and reads
-// through the reader's shared views, so concurrent calls with disjoint
-// ranges are safe and the concatenation of all planned ranges in order
-// reproduces the whole-partition merge exactly.
+// canonical key order, through fn; the zero KeyRange is the whole
+// partition. A key's values concatenate across runs in (task, seq)
+// order. With reuseValues false the value slices are stable and safe
+// to retain (in-memory groups alias the shuffle's runs: treat them as
+// read-only); with reuseValues true — the batch contract — a spilled
+// group's slice is scratch the next group overwrites, valid only
+// during the call. Every cursor is seeked to the range by binary search
+// over its resident index and reads through the reader's shared views,
+// so concurrent calls with disjoint ranges are safe and the
+// concatenation of all planned ranges in order reproduces the
+// whole-partition merge exactly.
 func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, fn func(k K, vs []V) error) error {
 	fmtKeys := rr.less == nil
 	reuseValues = reuseValues && !fmtKeys
@@ -301,21 +265,17 @@ func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, 
 		if lo == hi {
 			continue
 		}
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: i, fmtKeys: fmtKeys, idx: idx[lo:hi],
-			file: rr.views[i].file, img: rr.views[i].img, ra: rr.views[i].ra, raOff: rr.views[i].raOff,
-			meter: &rr.s.diskRead,
-		})
+		cursors = append(cursors, viewCursor[K, V](rr.views[i], i, fmtKeys, idx[lo:hi], &rr.s.diskRead))
 	}
 	base := len(rr.st.disk)
-	for i, run := range rr.memRuns {
-		keys := rr.memKeys[i]
+	for i, run := range rr.mem {
+		keys := run.keys
 		lo, hi := clampRange(len(keys), func(j int) K { return keys[j] }, rr.less, r)
 		if lo == hi {
 			continue
 		}
 		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: base + i, fmtKeys: fmtKeys, mem: run, memKeys: keys[lo:hi],
+			runIdx: base + i, fmtKeys: fmtKeys, memKeys: keys[lo:hi], memVals: run.vals[lo:hi],
 		})
 	}
 	return mergeGroupCursors(cursors, rr.less, true, reuseValues, func(k K, _ int, vs []V) error {

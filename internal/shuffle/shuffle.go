@@ -3,30 +3,28 @@
 //
 // The paper's whole subject is the data volume crossing this boundary
 // (the communication cost, from which the replication rate r is derived)
-// and how it is divided among reducers (the reducer size q). The seed
-// runtime modeled the boundary as a single global map merged under one
-// goroutine; this package replaces it with a real partitioned exchange:
-// keys are hashed into P partitions, each map task pre-buckets its
-// output by partition, and the merge runs one goroutine per partition
-// with exclusive ownership — no locks on the merge path at all. The
+// and how it is divided among reducers (the reducer size q). Keys are
+// hashed into P partitions with hash/maphash's typed fast path, and the
 // per-partition pair counts, key counts and largest key group that the
-// package reports are therefore properties of an actual execution, not
-// post-hoc accounting.
+// package reports are properties of an actual execution.
 //
-// Keys are hashed with hash/maphash's typed fast path
-// (maphash.Comparable compiles down to the runtime's native memhash for
-// fixed-size keys and strhash for strings) rather than by formatting
-// the key with fmt and hashing the string, which the seed did.
+// The map side has one data plane, the same in-process and in a proc
+// worker. Each map task attempt writes through a single-writer
+// TaskWriter that keeps one live run per partition and seals it —
+// combine, sort, encode — when it reaches ⌊MemoryBudget/S⌋ pairs, S
+// being the number of writers running at once. With a SpillDir a sealed
+// run, the task's tail included, becomes a (task, attempt, seq) section
+// of the writer's one spool file for the round; without one it stays
+// in memory. A task's runs join their partitions only at Commit, in
+// task order, and Abort releases them, so a key's values always arrive
+// in (task, emission) order and a failed attempt is never visible. With
+// a SpillDir the pairs held in memory stay at or under P*MemoryBudget.
 //
-// An optional bounded-memory mode caps the number of pairs a partition
-// buffers in its live run: when the cap is reached the run is sealed
-// and, when a SpillDir is configured, encoded in sorted-key order to a
-// disk run file (internal/runfile). At read time each partition streams
-// its key groups through a k-way heap merge over the on-disk runs, the
-// in-memory sealed runs, and the live run, so a partition several times
-// larger than its budget is reduced without ever being resident at
-// once. Without a SpillDir, sealed runs stay in memory and only the
-// spill pressure is reported, as in earlier versions.
+// The read side has one k-way merge: a heap over the partition's runs
+// driven by their resident indexes, which also plans the class-aligned
+// key ranges a partition's reduce splits into. Proc reduce workers
+// adopt their committed sections (Adopt) and read them through the
+// same merge.
 package shuffle
 
 import (
@@ -119,18 +117,19 @@ type Options struct {
 	// a power of two so partition selection is a mask, not a modulo.
 	Partitions int
 
-	// MaxBufferedPairs is the per-partition memory budget, in pairs.
-	// When positive, a partition whose live run reaches this many
-	// buffered pairs seals the run and starts a new one, so the live
-	// buffer never exceeds the budget. Stats reports the spill
-	// pressure.
-	MaxBufferedPairs int
+	// MemoryBudget is the per-partition memory budget, in pairs. The
+	// budget is shared by the S task writers the map phase runs at once
+	// (TaskWriters): each writer seals a partition's live run when it
+	// reaches ⌊MemoryBudget/S⌋ pairs, so with a SpillDir the pairs held
+	// in memory never exceed P*MemoryBudget. Zero disables sealing: each
+	// task's output stays one run per partition.
+	MemoryBudget int
 
-	// SpillDir, when set together with MaxBufferedPairs, makes sealed
-	// runs real: each is encoded in sorted-key order to a temp run
-	// file under this directory and dropped from memory. Read APIs
-	// stream a k-way merge over disk and live runs. Call Close to
-	// delete the files. When empty, sealed runs stay in memory.
+	// SpillDir makes sealed runs real: each is encoded in sorted-key
+	// order as a section of its writer's spool file under this directory
+	// and dropped from memory. Read APIs stream a k-way merge over the
+	// sections. Call Close to delete the files. When empty, sealed runs
+	// stay in memory.
 	SpillDir string
 
 	// FS overrides the filesystem behind spill run files. Nil selects
@@ -139,40 +138,27 @@ type Options struct {
 	// closes.
 	FS runfile.FS
 
-	// BlockPairs is the streaming-ingestion block budget: the number of
-	// pairs a TaskWriter buffers across its per-partition blocks before
-	// flushing the fullest block to its partition, and the chunk size
-	// of a TaskBuffer's pooled bucket blocks. Zero derives it from
-	// MaxBufferedPairs (half the budget, clamped to [16, 8192]; 1024
-	// without a budget). The whole-round resident bound of the
-	// streaming path is P*MaxBufferedPairs + writers*BlockPairs.
-	BlockPairs int
-
 	// Recorder, when non-nil, receives the shuffle's lifecycle events:
-	// block flushes, seals, pressure-relief swaps and swap aborts,
-	// compactions and reduce-time merges, each on its partition's lane;
-	// asynchronous compactions land on per-worker compactor lanes.
-	// Nil disables recording at the cost of one nil-check per event —
-	// the hot data path is identical either way.
+	// seals and aborts on the writing worker's lane, compactions on
+	// per-worker compactor lanes, and reduce-time merges on the
+	// partition's lane. Nil disables recording at the cost of one
+	// nil-check per event.
 	Recorder *obs.Recorder
 
 	// CompactionConcurrency is the number of background workers that
-	// compact disk runs during streaming ingestion, so a partition whose
-	// run count outgrows the merge fan-in is rewritten off the ingestion
-	// path instead of stalling its seal. Zero selects a small default
-	// (2); negative forces inline compaction (the pre-worker behavior,
-	// useful for deterministic tests). Barrier-mode Merge always
-	// compacts inline on the partition's own goroutine.
+	// compact a partition's disk runs once their count outgrows the
+	// merge fan-in. Zero selects a small default (2); negative compacts
+	// inline on the committing writer (deterministic scheduling for
+	// tests).
 	CompactionConcurrency int
 
 	// SpoolRotateBytes bounds how many dead bytes — sections already
-	// compacted away, absorbed, or aborted — a streaming spool file may
-	// accumulate before it is rotated: a fresh file takes over the
-	// writes and the old one is deleted as soon as its last live section
-	// is released, so long rounds reclaim disk instead of growing every
-	// spool monotonically. Zero selects a 4 MiB default; negative
-	// disables rotation. Reclaimed bytes are reported in
-	// Stats.BytesReclaimed.
+	// compacted away or aborted — a spool file may accumulate before it
+	// is rotated: a fresh file takes over the writes and the old one is
+	// deleted as soon as its last live section is released, so long
+	// rounds reclaim disk instead of growing every spool monotonically.
+	// Zero selects a 4 MiB default; negative disables rotation.
+	// Reclaimed bytes are reported in Stats.BytesReclaimed.
 	SpoolRotateBytes int64
 
 	// DisableMmap forces the positioned-read (pread) fallback for run
@@ -206,7 +192,7 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// Pair is one key-value pair buffered by a map task.
+// Pair is one key-value pair.
 type Pair[K comparable, V any] struct {
 	Key   K
 	Value V
@@ -222,15 +208,21 @@ type Shuffle[K comparable, V any] struct {
 	opts         Options
 	nparts       int
 	mask         uint64
-	blockPairs   int // per-writer block budget (Options.BlockPairs, defaulted)
 	parts        []partitionState[K, V]
-	mergeMu      sync.Mutex
+	closeMu      sync.Mutex
 	closed       bool
 	spillTypeErr error         // non-nil when K or V cannot survive a disk round trip
 	fs           runfile.FS    // filesystem behind run files (OSFS unless injected)
 	diskSem      chan struct{} // bounds concurrent multi-file disk reads (fd cap)
 	diskRead     atomic.Int64  // bytes read back from spill run files
-	perValue     bool          // test/bench hook: legacy per-value spill decode
+
+	// Map phase (see ingest.go): the current task writers, the
+	// per-writer seal threshold ⌊MemoryBudget/len(writers)⌋, and the
+	// set of committed tasks, which bounds what compaction may merge.
+	writers   []*TaskWriter[K, V]
+	threshold int
+	commitMu  sync.Mutex
+	committed map[int]bool
 
 	// Async compaction (see compact.go): partitions over their run-count
 	// bound are enqueued on compactCh (at most one entry per partition)
@@ -243,114 +235,56 @@ type Shuffle[K comparable, V any] struct {
 	compactMu    sync.Mutex // guards compactErr
 	compactErr   error
 
-	swapBytes      atomic.Int64 // raw bytes written by pressure swaps (ingest.go)
 	bytesReclaimed atomic.Int64 // spill-file bytes deleted mid-round (rotation, compaction)
+	sealNs         atomic.Int64 // wall ns task writers spent sealing
 
-	// pool recycles flushed block backing arrays between the map-side
-	// writers and the absorption path, so steady-state streaming
-	// ingestion allocates no per-block memory.
-	pool sync.Pool
-
-	// resident counts the pairs currently held in shuffle memory (live
-	// runs, staged blocks, in-memory sealed runs); peakResident is its
-	// whole-round high-water mark, the bound the streaming data path
-	// promises to keep under P*MemoryBudget + writers*BlockPairs.
+	// resident counts the pairs currently held in shuffle memory (task
+	// writers' live runs and in-memory sealed runs); peakResident is its
+	// whole-round high-water mark.
 	resident     atomic.Int64
 	peakResident atomic.Int64
 
 	statsMu   sync.Mutex
-	statsMemo *Stats // memoized Stats, invalidated by Merge
+	statsMemo *Stats // memoized Stats, invalidated by every run change
 }
 
-// partitionState is owned by exactly one goroutine during Merge; the
-// streaming ingestion path (Ingester) instead shares it between
-// flushing map workers and draining committers under mu.
+// partitionState is one partition's committed runs, in (task, seq)
+// order — the value order of every key. With a SpillDir every run is
+// on disk; without one every run stays in memory. mu guards everything
+// against concurrent commits and compactions.
 type partitionState[K comparable, V any] struct {
-	mu            sync.Mutex   // guards all fields during streaming ingestion
-	idx           int          // this partition's index (compaction enqueue key)
-	runs          []map[K][]V  // sealed in-memory runs, in seal order
-	disk          []diskRun[K] // sealed on-disk runs, in seal order
-	spilledToDisk bool         // ever had a disk run (sticky across Close)
-	live          map[K][]V
-	livePairs     int
-	maxLivePairs  int // high-water mark of livePairs
+	mu            sync.Mutex
+	idx           int
+	mem           []memRun[K, V] // in-memory runs, (task, seq) order
+	disk          []diskRun[K]   // on-disk runs, (task, seq) order
+	spilledToDisk bool           // ever had a disk run (sticky across Close)
+	maxLivePairs  int            // largest live run any committed task sealed here
 	pairs         int64
 	spillEvents   int64
 	spilledPairs  int64
 	bytesSpilled  int64
 	indexBytes    int64 // footer-index bytes written alongside run data
 
-	// staged holds flushed-but-uncommitted blocks per map task during
-	// streaming ingestion (see ingest.go); stagedPairs is the in-memory
-	// pair count across all staged runs of this partition. Both are
-	// guarded by stageMu — a tiny lock separate from mu so a flushing
-	// map worker appends in O(1) without waiting behind an absorb or a
-	// disk spill running under mu.
-	stageMu     sync.Mutex
-	staged      map[int]*stagedRun[K, V]
-	stagedPairs int
-
-	// scratch is the reused per-block key-count map that lets the
-	// absorb fast path pre-size live value slices instead of growing
-	// them by repeated appends. presizeOff latches when a block turns
-	// out to be mostly distinct keys — counting such blocks costs two
-	// map operations per pair and pre-sizes nothing, so the partition
-	// falls back to plain appends for the rest of the round.
-	scratch    map[K]int
-	presizeOff bool
-
-	// freeVs recycles live-run value-slice backing arrays across
-	// disk-bound seals: once a run's groups are encoded into the spool
-	// the slices are dead, so the next fill reuses their capacity
-	// instead of re-growing every key's slice from nil. Slices are
-	// zeroed before harvesting so recycled capacity never pins decoded
-	// values. The in-memory-run and seal-sink paths hand the map itself
-	// away and must not recycle.
-	freeVs []([]V)
-	// swapBuf and swapChunk are absorbSwapped's reused section read
-	// buffer and decode staging block (values are copied out by absorb,
-	// keys/values by Decode, so reuse is safe). intern dedups string
-	// keys decoded from swapped sections: a partition re-reads each of
-	// its hot keys once per swapped pair, so without the table the
-	// readback allocates one string per pair instead of one per
-	// distinct key.
-	swapBuf   []byte
-	swapChunk []Pair[K, V]
-	intern    map[string]K
-
-	// pspool is the partition's seal spool: one shared temp file (per
-	// rotation epoch) receiving every run the streaming path seals for
-	// this partition; stash is the swap spool, receiving the raw
-	// pressure-swapped sections of staged tasks (see ingest.go). Both
-	// are closed by Ingester.Finish (Close is the safety net) and
-	// guarded by mu.
-	pspool *spool[K, V]
-	stash  *spool[K, V]
-
 	// compacting marks that this partition is queued for (or undergoing)
 	// asynchronous compaction; at most one queue entry per partition
-	// exists, which is what lets enqueue sends never block. Guarded by
-	// mu.
+	// exists, which is what lets enqueue sends never block.
 	compacting bool
 
-	// liveApprox mirrors livePairs for lock-free reads: the streaming
-	// flush path consults it (plus stagedPairs) to decide whether it
-	// must stop and relieve pressure, without taking the work lock that
-	// an in-flight absorb or spill holds. Updated at block granularity;
-	// staleness is bounded by one block, which the resident bound's
-	// per-writer term already allows for.
-	liveApprox atomic.Int64
-
 	// lane is the partition's observability ring (nil when the shuffle
-	// has no Recorder — every emit is then a nil-check no-op). Span
-	// events on it are emitted under mu or by the partition's exclusive
-	// owner, so they nest.
+	// has no Recorder). Reduce-merge spans land on it.
 	lane *obs.Ring
 }
 
-// syncLive refreshes the lock-free livePairs mirror; call after any
-// block-granularity livePairs change.
-func (st *partitionState[K, V]) syncLive() { st.liveApprox.Store(int64(st.livePairs)) }
+// memRun is one in-memory run: a task's sealed groups for this
+// partition — or, after Finish, all of them folded — with vals[i] the
+// values of keys[i]: two flat slices, so a sealed run holds no map. A
+// task's keys are unsorted; Finish folds the partition's runs into one
+// with its keys in canonical order before any read.
+type memRun[K comparable, V any] struct {
+	task int
+	keys []K
+	vals [][]V
+}
 
 // New creates a shuffle with the given options.
 func New[K comparable, V any](opts Options) *Shuffle[K, V] {
@@ -360,16 +294,16 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 	}
 	n = ceilPow2(n)
 	s := &Shuffle[K, V]{
-		hasher:     NewHasher[K](),
-		opts:       opts,
-		nparts:     n,
-		mask:       uint64(n - 1),
-		blockPairs: blockPairs(opts),
-		parts:      make([]partitionState[K, V], n),
+		hasher:    NewHasher[K](),
+		opts:      opts,
+		nparts:    n,
+		mask:      uint64(n - 1),
+		parts:     make([]partitionState[K, V], n),
+		committed: make(map[int]bool),
+		diskSem:   make(chan struct{}, diskReadConcurrency),
 	}
 	for i := range s.parts {
 		s.parts[i].idx = i
-		s.parts[i].live = make(map[K][]V)
 		// A nil Recorder hands out nil lanes; every emit is then a no-op.
 		s.parts[i].lane = opts.Recorder.Lane(obs.LanePartition, i)
 	}
@@ -388,64 +322,15 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 		} else if err := runfile.CanRoundTripFidelity[V](); err != nil {
 			s.spillTypeErr = fmt.Errorf("value type: %w", err)
 		}
-		s.diskSem = make(chan struct{}, diskReadConcurrency)
 	}
 	return s
-}
-
-// blockPairs resolves Options.BlockPairs: half the memory budget by
-// default, so two flushed blocks fit a partition's live run, clamped
-// so blocks stay big enough to amortize locking and small enough to
-// keep the per-writer buffer a fraction of the budget.
-func blockPairs(opts Options) int {
-	bp := opts.BlockPairs
-	if bp <= 0 {
-		if b := opts.MaxBufferedPairs; b > 0 {
-			bp = b / 2
-		} else {
-			bp = 1024
-		}
-	}
-	if bp < 16 {
-		bp = 16
-	}
-	if bp > 8192 {
-		bp = 8192
-	}
-	return bp
-}
-
-// BlockPairs is the effective streaming block budget (see
-// Options.BlockPairs): the number of pairs a TaskWriter buffers before
-// flushing, and the term the resident-memory bound charges per writer.
-func (s *Shuffle[K, V]) BlockPairs() int { return s.blockPairs }
-
-// getBlock takes a block backing array from the pool (or allocates one
-// at the block budget) with length zero.
-func (s *Shuffle[K, V]) getBlock() []Pair[K, V] {
-	if v := s.pool.Get(); v != nil {
-		return (*v.(*[]Pair[K, V]))[:0]
-	}
-	return make([]Pair[K, V], 0, s.blockPairs)
-}
-
-// putBlock recycles a flushed block's backing array.
-func (s *Shuffle[K, V]) putBlock(b []Pair[K, V]) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	s.pool.Put(&b)
 }
 
 // addResident adjusts the shuffle's in-memory pair count, updating the
 // whole-round peak on growth.
 func (s *Shuffle[K, V]) addResident(n int) {
-	if n == 0 {
-		return
-	}
 	cur := s.resident.Add(int64(n))
-	if n < 0 {
+	if n <= 0 {
 		return
 	}
 	for {
@@ -457,23 +342,26 @@ func (s *Shuffle[K, V]) addResident(n int) {
 }
 
 // ResidentPairs is the number of pairs currently held in shuffle
-// memory (live runs, staged blocks, in-memory sealed runs);
-// PeakResidentPairs is its whole-round high-water mark.
+// memory (live runs and in-memory sealed runs); PeakResidentPairs is
+// its whole-round high-water mark.
 func (s *Shuffle[K, V]) ResidentPairs() int64     { return s.resident.Load() }
 func (s *Shuffle[K, V]) PeakResidentPairs() int64 { return s.peakResident.Load() }
 
+// SealNs is the wall time task writers spent sealing runs — combining,
+// sorting, encoding and writing — all of it overlapped with mapping.
+func (s *Shuffle[K, V]) SealNs() int64 { return s.sealNs.Load() }
+
 // SetPartitioner overrides hash placement with an explicit key-to-
 // partition function (reduced modulo the partition count). It must be
-// called before any TaskBuffer is created.
+// called before any pair is emitted.
 func (s *Shuffle[K, V]) SetPartitioner(fn func(K) int) {
 	s.partitioner = fn
 }
 
 // invalidateStats drops the memoized Stats profile. Every mutation of
-// a partition's runs — seals, swaps, compaction installs, aborts —
-// must route through this (or Merge's inline invalidation) so a
-// profile memoized mid-round is never served after the state it
-// described has changed.
+// a partition's runs — commits, compaction installs, adoptions — must
+// route through this so a profile memoized mid-round is never served
+// after the state it described has changed.
 func (s *Shuffle[K, V]) invalidateStats() {
 	s.statsMu.Lock()
 	s.statsMemo = nil
@@ -481,64 +369,35 @@ func (s *Shuffle[K, V]) invalidateStats() {
 }
 
 // SetCombiner pushes an associative pre-aggregation down into the
-// shuffle's sealing path: whenever a partition's live run reaches the
-// memory budget, each key's buffered values are combined before the
-// run is sealed, and sealed again across runs when disk runs are
+// shuffle's sealing path: whenever a task writer's live run reaches its
+// seal threshold, each key's buffered values are combined before the
+// run is sealed, and combined again across runs when disk runs are
 // compacted. Spilled bytes then track the post-combine communication
 // cost rather than the raw emission stream, and a seal whose combine
-// frees enough of the budget is skipped entirely. The function must be
-// semantically transparent the way a map-side combiner is —
+// frees at least half the threshold is skipped entirely. The function
+// must be semantically transparent the way a map-side combiner is —
 // reduce(k, combine(vs)) == reduce(k, vs) for any split of vs — since
 // sealing applies it to arbitrary prefixes of a key's values and may
 // re-apply it to already-combined partials. It must be called before
-// Merge.
+// any pair is emitted.
 func (s *Shuffle[K, V]) SetCombiner(fn func(key K, values []V) []V) {
-	// The combiner changes what future seals spill, so a Stats profile
-	// memoized before this call must not survive it — invalidating only
-	// on Merge would serve a stale profile to a caller that re-reads
-	// Stats between SetCombiner and the next Merge.
 	s.invalidateStats()
 	s.combiner = fn
 }
 
 // SetSealSink redirects every sealed run to fn instead of the
-// shuffle's own spill path: whenever a partition's live run seals
-// (budget reached, or SealAllLive), fn receives the partition index
-// and the post-combine run — keys in canonical SortKeys order, values
-// in absorption order — and owns writing it somewhere durable. The
-// shuffle keeps nothing: resident pairs drop by the run's size, no
-// disk run is recorded, and compaction never fires, so the sink is the
-// exchange medium. This is how an external executor (internal/proc's
-// map workers) reuses the streaming ingestion path — budget-driven
-// sealing, combiner push-down, swap relief — while keeping its own
-// section/commit protocol. fn runs under the partition lock; it may be
-// called from concurrent goroutines for different partitions (the
-// Finish drain), never concurrently for one partition. Must be set
-// before ingestion starts. A sink requires a SpillDir when pressure
-// swaps should relieve staged memory; the sealed runs themselves never
-// touch the SpillDir.
+// shuffle's own storage: whenever a task writer seals a partition's
+// live run (threshold reached, or the task's tail at Commit), fn
+// receives the partition index and the post-combine run — keys in
+// canonical SortKeys order, values in emission order — and owns writing
+// it somewhere durable before it returns; it must not retain groups.
+// The shuffle keeps nothing and registers nothing, so the sink is the
+// exchange medium. This is how internal/proc's map workers reuse the
+// task writer — threshold sealing and combiner push-down — while
+// keeping their own section/commit protocol. fn runs on the writing
+// goroutine. Must be set before any pair is emitted.
 func (s *Shuffle[K, V]) SetSealSink(fn func(part int, keys []K, groups map[K][]V) error) {
-	s.invalidateStats()
 	s.sealSink = fn
-}
-
-// SealAllLive force-seals every partition's remaining live run, in
-// partition order — the final flush of a sink-directed round, turning
-// the under-budget residue into the sink's last runs. (The regular
-// Finish deliberately leaves under-budget live runs buffered for
-// in-process reads; a seal sink has no read side, so everything must
-// go to the sink.) Call after Ingester.Finish.
-func (s *Shuffle[K, V]) SealAllLive() error {
-	for p := range s.parts {
-		st := &s.parts[p]
-		st.mu.Lock()
-		err := st.seal(s, true)
-		st.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // NumPartitions returns the effective partition count P.
@@ -556,301 +415,6 @@ func (s *Shuffle[K, V]) PartitionOf(k K) int {
 	return int(s.hasher.Hash(k) & s.mask)
 }
 
-// TaskBuffer collects one map task's output, pre-bucketed by partition
-// into pool-backed blocks, so the merge never rehashes a key and the
-// bucket storage never pays append-doubling garbage. A TaskBuffer
-// belongs to a single map task and is not safe for concurrent use.
-// It is the barrier-mode compat layer over the same blocks the
-// streaming Ingester flushes incrementally (see ingest.go).
-type TaskBuffer[K comparable, V any] struct {
-	s      *Shuffle[K, V]
-	blocks [][][]Pair[K, V] // per partition: full blocks, in emission order
-	cur    [][]Pair[K, V]   // per partition: the open block
-	pairs  int64
-}
-
-// NewTaskBuffer creates an empty buffer bound to this shuffle's
-// partitioning.
-func (s *Shuffle[K, V]) NewTaskBuffer() *TaskBuffer[K, V] {
-	return &TaskBuffer[K, V]{
-		s:      s,
-		blocks: make([][][]Pair[K, V], s.nparts),
-		cur:    make([][]Pair[K, V], s.nparts),
-	}
-}
-
-// Emit buffers one pair into its partition's open block, sealing the
-// block into the bucket's block list when it reaches the block budget.
-func (b *TaskBuffer[K, V]) Emit(k K, v V) {
-	p := b.s.PartitionOf(k)
-	blk := b.cur[p]
-	if blk == nil {
-		blk = b.s.getBlock()
-	}
-	blk = append(blk, Pair[K, V]{k, v})
-	if len(blk) >= b.s.blockPairs {
-		b.blocks[p] = append(b.blocks[p], blk)
-		blk = nil
-	}
-	b.cur[p] = blk
-	b.pairs++
-}
-
-// Pairs returns the number of pairs buffered so far.
-func (b *TaskBuffer[K, V]) Pairs() int64 { return b.pairs }
-
-// Merge folds the buffers into the shuffle's partitions, one goroutine
-// per partition with exclusive ownership of its state (lock-free on the
-// merge path). Buffers are processed in slice order, so the values of a
-// key preserve task order and, within a task, emission order — the
-// property the runtime's deterministic output contract rests on. Merge
-// consumes the buffers (their blocks return to the shuffle's pool) and
-// may be called more than once with fresh buffers; calls are
-// serialized. The error is non-nil only when a disk spill fails.
-func (s *Shuffle[K, V]) Merge(buffers []*TaskBuffer[K, V]) error {
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
-	s.invalidateStats() // the profile is about to change
-	var wg sync.WaitGroup
-	errs := make([]error, s.nparts)
-	for p := 0; p < s.nparts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			st := &s.parts[p]
-			for _, b := range buffers {
-				if b == nil {
-					continue
-				}
-				for _, blk := range append(b.blocks[p], b.cur[p]) {
-					if len(blk) == 0 {
-						continue
-					}
-					s.addResident(len(blk))
-					err := st.absorb(s, blk)
-					s.putBlock(blk)
-					if err != nil {
-						errs[p] = err
-						return
-					}
-				}
-				b.blocks[p], b.cur[p] = nil, nil
-			}
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// absorb folds one block of pairs (a single task's output for this
-// partition, in emission order) into the live run, sealing at the
-// memory budget. When the whole block fits under the budget the live
-// value slices are pre-sized from the block's per-key counts — one
-// exact growth per key instead of append-doubling — otherwise the
-// block is walked pair by pair so the run seals at exactly the budget.
-func (st *partitionState[K, V]) absorb(s *Shuffle[K, V], pairs []Pair[K, V]) error {
-	budget := s.opts.MaxBufferedPairs
-	if budget <= 0 || st.livePairs+len(pairs) < budget {
-		st.absorbPresized(pairs)
-		return nil
-	}
-	for i := range pairs {
-		vs, ok := st.live[pairs[i].Key]
-		if !ok && len(st.freeVs) > 0 {
-			vs = st.grabSlice(1)
-		}
-		st.live[pairs[i].Key] = append(vs, pairs[i].Value)
-		st.livePairs++
-		if st.livePairs > st.maxLivePairs {
-			st.maxLivePairs = st.livePairs
-		}
-		st.pairs++
-		if st.livePairs >= budget {
-			if err := st.seal(s, false); err != nil {
-				return err
-			}
-		}
-	}
-	st.syncLive()
-	return nil
-}
-
-// recycleLive clears the live map in place — keeping its buckets, so
-// refills never pay rehash growth — and harvests the now-dead value
-// slices' backing arrays for reuse by later absorbs. Only the
-// disk-spill seal path may call this: the groups were synchronously
-// encoded into the spool, so nothing else references the slices. The
-// harvest is capped so a round whose key population shifts cannot grow
-// the freelist without bound.
-func (st *partitionState[K, V]) recycleLive() {
-	for _, vs := range st.live {
-		if cap(vs) == 0 || len(st.freeVs) >= 8192 {
-			continue
-		}
-		clear(vs) // drop value references so recycled capacity pins nothing
-		st.freeVs = append(st.freeVs, vs[:0])
-	}
-	clear(st.live)
-}
-
-// grabSlice returns an empty value slice with capacity at least n,
-// preferring a recycled backing array. Only the freelist's top few
-// entries are probed; a miss falls through to a fresh allocation.
-func (st *partitionState[K, V]) grabSlice(n int) []V {
-	for i, l := 0, len(st.freeVs); i < 4 && i < l; i++ {
-		s := st.freeVs[l-1-i]
-		if cap(s) >= n {
-			st.freeVs[l-1-i] = st.freeVs[l-1]
-			st.freeVs = st.freeVs[:l-1]
-			return s
-		}
-	}
-	return make([]V, 0, n)
-}
-
-// absorbPresized is absorb's under-budget fast path: count the block's
-// pairs per key into the reused scratch map, grow each touched live
-// slice at most once per block — to exactly what the block needs when
-// that dominates, but never below doubling, so a key fed one value per
-// block across many blocks still pays O(log n) growths rather than one
-// per block — then append without capacity checks.
-func (st *partitionState[K, V]) absorbPresized(pairs []Pair[K, V]) {
-	if !st.presizeOff && len(pairs) >= 16 {
-		cnt := st.scratch
-		if cnt == nil {
-			cnt = make(map[K]int, 64)
-			st.scratch = cnt
-		}
-		for i := range pairs {
-			cnt[pairs[i].Key]++
-		}
-		if len(cnt)*4 >= len(pairs)*3 {
-			st.presizeOff = true // mostly distinct; counting buys nothing
-		}
-		for k, c := range cnt {
-			vs := st.live[k]
-			if cap(vs)-len(vs) < c {
-				newCap := len(vs) + c
-				if min := 2 * cap(vs); newCap < min {
-					newCap = min
-				}
-				grown := st.grabSlice(newCap)[:len(vs)]
-				copy(grown, vs)
-				st.live[k] = grown
-				if cap(vs) > 0 && len(st.freeVs) < 8192 {
-					clear(vs) // old backing is dead; recycle it too
-					st.freeVs = append(st.freeVs, vs[:0])
-				}
-			}
-		}
-		clear(cnt)
-	}
-	for i := range pairs {
-		vs, ok := st.live[pairs[i].Key]
-		if !ok && len(st.freeVs) > 0 {
-			vs = st.grabSlice(1)
-		}
-		st.live[pairs[i].Key] = append(vs, pairs[i].Value)
-	}
-	st.livePairs += len(pairs)
-	if st.livePairs > st.maxLivePairs {
-		st.maxLivePairs = st.livePairs
-	}
-	st.pairs += int64(len(pairs))
-	st.syncLive()
-}
-
-// seal closes the live run — to a disk run when a SpillDir is set,
-// otherwise to the in-memory run list — and records spill pressure.
-// With a combiner, the live run is combined first; a combine that
-// frees at least half the budget cancels the seal and the partition
-// keeps buffering, so combiner-friendly workloads spill far less than
-// their raw emission volume. force overrides that cancellation: the
-// streaming path must seal the live run before adopting a task's
-// fenced spill runs (run order is value order), and must be able to
-// shed live pairs under global memory pressure, regardless of how well
-// the combine went.
-//
-// On the streaming path (an open pressure spool) the sealed run is
-// appended to the partition's spool file; a whole round's seals then
-// cost one file per partition instead of one per seal, which on
-// syscall-expensive filesystems is most of the spill path's wall
-// clock. The barrier path writes the classic one-file-per-seal run.
-func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
-	if st.livePairs == 0 {
-		return nil
-	}
-	if s.combiner != nil {
-		st.combineLive(s)
-		if !force && st.livePairs <= s.opts.MaxBufferedPairs/2 {
-			return nil
-		}
-		if st.livePairs == 0 {
-			return nil
-		}
-	}
-	sealing := int64(st.livePairs)
-	st.lane.Begin(obs.OpSeal, sealing, 0)
-	defer func() { st.lane.End(obs.OpSeal, sealing, errFlag(err)) }()
-	if s.sealSink != nil {
-		// Sink-directed seal: the run leaves the shuffle entirely. No
-		// disk run, no compaction — the sink's storage is the read side.
-		if err := s.sealSink(st.idx, sortedMapKeys(st.live), st.live); err != nil {
-			return err
-		}
-		s.addResident(-st.livePairs)
-		st.spillEvents++
-		st.spilledPairs += int64(st.livePairs)
-		st.live = make(map[K][]V)
-		st.livePairs = 0
-		st.syncLive()
-		return nil
-	}
-	if s.opts.SpillDir != "" {
-		if s.spillTypeErr != nil {
-			return fmt.Errorf("shuffle: cannot spill: %w", s.spillTypeErr)
-		}
-		if st.pspool != nil {
-			dr, body, idx, err := st.pspool.addRunGroups(sortedMapKeys(st.live), st.live, int64(st.livePairs))
-			if err != nil {
-				return err
-			}
-			st.disk = append(st.disk, dr)
-			st.spilledToDisk = true
-			st.bytesSpilled += body
-			st.indexBytes += idx
-		} else if err := st.spillToDisk(s); err != nil {
-			return err
-		}
-		s.addResident(-st.livePairs) // live pairs now on disk
-		st.recycleLive()
-	} else {
-		st.runs = append(st.runs, st.live)
-		st.live = make(map[K][]V)
-	}
-	st.spillEvents++
-	st.spilledPairs += int64(st.livePairs)
-	st.livePairs = 0
-	st.syncLive()
-	if st.pspool != nil && needsCompaction(st.disk) {
-		if s.opts.CompactionConcurrency < 0 {
-			// Inline mode: compact on the sealing goroutine, pre-worker
-			// behavior (deterministic scheduling for tests).
-			s.diskSem <- struct{}{}
-			err := st.compactDiskRuns(s, st.lane, false)
-			<-s.diskSem
-			return err
-		}
-		s.maybeCompact(st)
-	}
-	return nil
-}
-
 // errFlag renders an error as the 0/1 "err" argument of a span's End
 // event.
 func errFlag(err error) int64 {
@@ -858,26 +422,6 @@ func errFlag(err error) int64 {
 		return 1
 	}
 	return 0
-}
-
-// combineLive applies the combiner to every key group of the live run
-// in place, keeping the partition's pair totals equal to the sum of
-// its group counts. Keys whose combined value list comes back empty
-// are dropped.
-func (st *partitionState[K, V]) combineLive(s *Shuffle[K, V]) {
-	post := 0
-	for k, vs := range st.live {
-		cv := s.combiner(k, vs)
-		if len(cv) == 0 {
-			delete(st.live, k)
-			continue
-		}
-		st.live[k] = cv
-		post += len(cv)
-	}
-	st.pairs -= int64(st.livePairs - post)
-	s.addResident(post - st.livePairs)
-	st.livePairs = post
 }
 
 // Partition is a read view of one shuffle partition.
@@ -894,111 +438,37 @@ func (s *Shuffle[K, V]) Partition(p int) Partition[K, V] {
 // Pairs is the number of pairs the partition holds.
 func (p Partition[K, V]) Pairs() int64 { return p.s.parts[p.idx].pairs }
 
-// NumKeys is the number of distinct keys in the partition. For a
-// partition with on-disk runs this merges the runs' resident indexes
-// in memory — no disk read. NumKeys is a best-effort convenience view:
-// an error (such as reads after Close) yields a zero or partial count
-// — use ForEachGroup where errors must be observed.
+// NumKeys is the number of distinct keys in the partition, merged from
+// the runs' resident key lists and indexes — no disk read. NumKeys is a
+// best-effort convenience view: an error (such as reads after Close)
+// yields a zero or partial count — use ForEachGroupCount where errors
+// must be observed.
 func (p Partition[K, V]) NumKeys() int {
-	st := &p.s.parts[p.idx]
-	if len(st.runs) == 0 && !st.spilledToDisk {
-		return len(st.live)
-	}
 	n := 0
-	p.forEachGroup(false, false, func(K, int, []V) error { n++; return nil })
+	p.forEachGroup(func(K, int) error { n++; return nil })
 	return n
 }
 
 // SortedKeys returns the partition's distinct keys in the package's
 // canonical deterministic order (see SortKeys), merging resident
 // indexes for spilled runs (no disk read). Like NumKeys it is a
-// best-effort view: an error yields a truncated slice — use
-// ForEachGroup where errors must be observed.
+// best-effort view: an error yields a truncated slice.
 func (p Partition[K, V]) SortedKeys() []K {
-	st := &p.s.parts[p.idx]
-	if len(st.runs) == 0 && !st.spilledToDisk {
-		return sortedMapKeys(st.live)
-	}
 	var keys []K
-	p.forEachGroup(false, false, func(k K, _ int, _ []V) error {
+	p.forEachGroup(func(k K, _ int) error {
 		keys = append(keys, k)
 		return nil
 	})
 	return keys
 }
 
-// Values returns all values for a key, concatenated across sealed runs
-// in seal order and then the live run — which preserves the original
-// task-emission order. With on-disk runs this scans the partition (and
-// like NumKeys returns best-effort data on a spill read error); use
-// ForEachGroup to visit every group in one error-aware streaming pass.
-func (p Partition[K, V]) Values(k K) []V {
-	st := &p.s.parts[p.idx]
-	if len(st.runs) == 0 && !st.spilledToDisk {
-		return st.live[k]
-	}
-	var out []V
-	p.forEachGroup(true, false, func(key K, _ int, vs []V) error {
-		if key == k {
-			out = vs
-			return errStopIteration
-		}
-		return nil
-	})
-	return out
-}
-
-// ForEachSorted visits the partition's groups in sorted key order.
-// Unlike ForEachGroup it cannot surface spill-read errors; callers on
-// the disk-backed path should prefer ForEachGroup.
-func (p Partition[K, V]) ForEachSorted(fn func(k K, vs []V)) {
-	p.ForEachGroup(func(k K, vs []V) error {
-		fn(k, vs)
-		return nil
-	})
-}
-
-// ForEachGroup streams the partition's key groups in canonical sorted
-// key order through fn, k-way merging the partition's on-disk runs,
-// in-memory sealed runs, and live run without materializing the
-// partition. A key's values arrive concatenated across runs in seal
-// order then the live run — the package's value-order contract. An
-// error from fn stops the iteration and is returned; I/O and decode
-// errors reading spilled runs are returned likewise. The value slices
-// are stable — nothing overwrites them after fn returns, so they are
-// safe to retain — but in-memory groups alias the shuffle's live and
-// sealed run buffers, so treat them as read-only. Use
-// ForEachGroupBatch when fn does not retain them at all.
-func (p Partition[K, V]) ForEachGroup(fn func(k K, vs []V) error) error {
-	return p.forEachGroup(true, false, func(k K, _ int, vs []V) error {
-		return fn(k, vs)
-	})
-}
-
-// ForEachGroupBatch is ForEachGroup under the batch arena-reuse
-// contract: the value slice passed to fn is valid only during the
-// call — for spilled runs it is decoded into a per-run scratch slice
-// that the next group reuses, so a full partition streams with one
-// value-section read and one batch decode per group and near-zero
-// per-group allocation. fn must not retain the slice (copy it to keep
-// it). Callers that retain values use ForEachGroup, whose slices stay
-// stable after the call — the two are otherwise identical, key order
-// and value-order contract included.
-func (p Partition[K, V]) ForEachGroupBatch(fn func(k K, vs []V) error) error {
-	return p.forEachGroup(true, true, func(k K, _ int, vs []V) error {
-		return fn(k, vs)
-	})
-}
-
-// ForEachGroupCount is ForEachGroup's counting mode: it streams every
-// group's key and size in sorted key order by merging the spilled
-// runs' resident indexes with the in-memory runs — run files are never
-// opened, so the pass is pure memory. This is the cheap pass for load
-// profiling and overflow diagnosis.
+// ForEachGroupCount streams every group's key and size in sorted key
+// order by merging the spilled runs' resident indexes with the
+// in-memory runs — run files are never opened, so the pass is pure
+// memory. This is the cheap pass for load profiling and overflow
+// diagnosis; values are read through OpenRangeReader.
 func (p Partition[K, V]) ForEachGroupCount(fn func(k K, count int) error) error {
-	return p.forEachGroup(false, false, func(k K, count int, _ []V) error {
-		return fn(k, count)
-	})
+	return p.forEachGroup(fn)
 }
 
 // Stats is the realized communication profile of the shuffle.
@@ -1027,14 +497,16 @@ type Stats struct {
 	// many runs were sealed and how many pairs they held.
 	SpillEvents  int64
 	SpilledPairs int64
-	// BytesSpilled is the total encoded size of run data written to
-	// disk — header and key groups, not the footer indexes — so it
-	// tracks the communication volume the paper reasons about (zero
-	// without a SpillDir). With a combiner pushed down (SetCombiner) it
-	// tracks the post-combine communication cost rather than the raw
-	// emission volume. IndexBytesSpilled is the metadata written on
-	// top: the prefix-compressed footer indexes; total file bytes are
-	// the sum of the two.
+	// BytesSpilled is the encoded size of the run data committed tasks
+	// sealed to disk — header and key groups, not the footer indexes —
+	// so it tracks the communication volume the paper reasons about
+	// (zero without a SpillDir). With a combiner pushed down
+	// (SetCombiner) it tracks the post-combine communication cost. It
+	// is a pure function of the per-task pair streams and the
+	// configuration, invariant to scheduling, tracing and timing:
+	// aborted attempts and compaction rewrites are not counted.
+	// IndexBytesSpilled is the metadata written on top of it: the
+	// prefix-compressed footer indexes of the same runs.
 	BytesSpilled      int64
 	IndexBytesSpilled int64
 	// DiskBytesRead is the cumulative number of bytes read back from
@@ -1042,22 +514,13 @@ type Stats struct {
 	// Computing Stats itself adds nothing to it: the counting pass
 	// merges resident indexes in memory.
 	DiskBytesRead int64
-	// SwapBytes is the raw bytes the streaming path's pressure relief
-	// wrote to swap stash files — staged pairs shed to disk and read
-	// back verbatim at their task's turn. Swap traffic is bookkeeping,
-	// not shuffle output, so it is reported separately from
-	// BytesSpilled (which stays a pure function of the committed pair
-	// stream — the property the bench's cross-lane determinism check
-	// pins).
-	SwapBytes int64
 	// BytesReclaimed is the total size of spill files deleted while the
 	// round was still running — spool rotation retiring dead sections
 	// and compaction releasing its inputs — i.e. disk given back before
 	// Close.
 	BytesReclaimed int64
-	// RunsMerged is the number of runs (disk, sealed in-memory, live)
-	// that the reduce-time k-way merges combine, summed over the
-	// partitions that sealed at least once.
+	// RunsMerged is the number of runs that the reduce-time k-way
+	// merges combine, summed over the partitions holding more than one.
 	RunsMerged int64
 	// GroupSizeLog2 is the log2-bucketed distribution of key-group
 	// sizes — the realized reducer-input (q) distribution the paper's
@@ -1065,17 +528,15 @@ type Stats struct {
 	// lies in [2^i, 2^(i+1)); the slice is trimmed after the last
 	// non-empty bucket (nil when the shuffle is empty).
 	GroupSizeLog2 []int64
-	// MaxLivePairs is the high-water mark of any partition's live
-	// buffer. Under a memory budget it never exceeds MaxBufferedPairs:
-	// the proof that execution stayed within budget.
+	// MaxLivePairs is the largest live run any committed task writer
+	// held for one partition. Under a memory budget it never exceeds
+	// the writer threshold ⌊MemoryBudget/S⌋.
 	MaxLivePairs int
 	// PeakResidentPairs is the whole-round high-water mark of pairs
-	// held in shuffle memory at once: live runs, staged streaming
-	// blocks, and in-memory sealed runs, summed over partitions. With a
-	// SpillDir the streaming ingestion path keeps it under
-	// P*MaxBufferedPairs + writers*BlockPairs — the bound that makes
-	// the communication cost, not the dataset size, the limit on
-	// resident memory.
+	// held in shuffle memory at once: task writers' live runs and
+	// in-memory sealed runs. With a SpillDir it stays at or under
+	// P*MemoryBudget — the bound that makes the communication cost, not
+	// the dataset size, the limit on resident memory.
 	PeakResidentPairs int64
 }
 
@@ -1099,7 +560,7 @@ func (st Stats) String() string {
 // memory even for spilled partitions — each disk run's (key, count)
 // index is resident, so no run file is read. The result is memoized:
 // repeat calls return the cached profile (with the cumulative I/O
-// counters — DiskBytesRead, SwapBytes, BytesReclaimed — and the
+// counters — DiskBytesRead, BytesReclaimed — and the
 // resident peak refreshed, since those keep accruing after the
 // profile stabilizes) until the next mutation invalidates it. The error is non-nil only when the shuffle's
 // spilled state is unreadable (for example after Close).
@@ -1116,7 +577,6 @@ func (s *Shuffle[K, V]) Stats() (Stats, error) {
 		st.PartitionMaxGroup = append([]int64(nil), st.PartitionMaxGroup...)
 		st.GroupSizeLog2 = append([]int64(nil), st.GroupSizeLog2...)
 		st.DiskBytesRead = s.diskRead.Load()
-		st.SwapBytes = s.swapBytes.Load()
 		st.BytesReclaimed = s.bytesReclaimed.Load()
 		st.PeakResidentPairs = s.peakResident.Load()
 		return st, nil
@@ -1156,20 +616,9 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			ps := &s.parts[p]
-			if len(ps.runs) == 0 && !ps.spilledToDisk {
-				profiles[p].keys = int64(len(ps.live))
-				for _, vs := range ps.live {
-					if g := int64(len(vs)); g > profiles[p].maxGroup {
-						profiles[p].maxGroup = g
-					}
-					profiles[p].log2[log2Bucket(len(vs))]++
-				}
-				return
-			}
-			// Spilled partitions merge their resident run indexes with
-			// the in-memory runs: a pure in-memory pass.
-			errs[p] = s.Partition(p).forEachGroup(false, false, func(_ K, count int, _ []V) error {
+			// A pure in-memory pass: spilled runs contribute their
+			// resident indexes.
+			errs[p] = s.Partition(p).forEachGroup(func(_ K, count int) error {
 				profiles[p].keys++
 				if g := int64(count); g > profiles[p].maxGroup {
 					profiles[p].maxGroup = g
@@ -1204,7 +653,7 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 		if ps.maxLivePairs > st.MaxLivePairs {
 			st.MaxLivePairs = ps.maxLivePairs
 		}
-		if nruns := len(ps.runs) + len(ps.disk) + liveRun(ps.livePairs); nruns > 1 {
+		if nruns := len(ps.mem) + len(ps.disk); nruns > 1 {
 			st.RunsMerged += int64(nruns)
 		}
 		for i := range log2 {
@@ -1218,7 +667,6 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 		}
 	}
 	st.DiskBytesRead = s.diskRead.Load()
-	st.SwapBytes = s.swapBytes.Load()
 	st.BytesReclaimed = s.bytesReclaimed.Load()
 	st.PeakResidentPairs = s.peakResident.Load()
 	return st, nil
@@ -1231,14 +679,6 @@ func log2Bucket(n int) int {
 		return 0
 	}
 	return bits.Len64(uint64(n)) - 1
-}
-
-// liveRun is 1 when a partition's live buffer holds pairs, else 0.
-func liveRun(livePairs int) int {
-	if livePairs > 0 {
-		return 1
-	}
-	return 0
 }
 
 // SortKeys sorts keys in the package's canonical deterministic order:

@@ -11,8 +11,7 @@ import (
 )
 
 // benchPairs builds nTasks task outputs totalling ~total pairs over
-// nKeys distinct string keys, mimicking a map phase's pre-bucketed
-// output. The same pair slices feed both merge strategies.
+// nKeys distinct string keys, mimicking a map phase's output.
 func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 	perTask := total / nTasks
 	tasks := make([][]Pair[string, int], nTasks)
@@ -26,100 +25,16 @@ func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 	return tasks
 }
 
-// BenchmarkMerge1MPairs compares the seed runtime's shuffle (every map
-// task's output folded into one global map under a single goroutine,
-// then all keys sorted) against the partitioned shuffle (P per-
-// partition merges running in parallel, then per-partition sorted keys)
-// on one million emitted pairs. This is the acceptance benchmark for
-// the partitioned executor: the partitioned exchange must win.
-func BenchmarkMerge1MPairs(b *testing.B) {
-	const (
-		total  = 1 << 20 // ~1.05M pairs
-		nTasks = 64
-		nKeys  = 50000
-	)
-	tasks := benchPairs(total, nTasks, nKeys)
-
-	b.Run("seed-global-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			merged := make(map[string][]int)
-			for _, ps := range tasks {
-				for _, p := range ps {
-					merged[p.Key] = append(merged[p.Key], p.Value)
-				}
-			}
-			keys := make([]string, 0, len(merged))
-			for k := range merged {
-				keys = append(keys, k)
-			}
-			SortKeys(keys)
-			if len(keys) != nKeys {
-				b.Fatalf("got %d keys", len(keys))
-			}
-		}
-	})
-
-	b.Run(fmt.Sprintf("partitioned-P=%d", DefaultPartitions()), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s := New[string, int](Options{})
-			bufs := make([]*TaskBuffer[string, int], len(tasks))
-			for t, ps := range tasks {
-				buf := s.NewTaskBuffer()
-				for _, p := range ps {
-					buf.Emit(p.Key, p.Value)
-				}
-				bufs[t] = buf
-			}
-			b.StartTimer()
-			s.Merge(bufs)
-			var keys int
-			for p := 0; p < s.NumPartitions(); p++ {
-				keys += len(s.Partition(p).SortedKeys())
-			}
-			if keys != nKeys {
-				b.Fatalf("got %d keys", keys)
-			}
-		}
-	})
-
-	// The end-to-end comparison including the pre-bucketing the map side
-	// pays for: bucket + merge vs. the single global map.
-	b.Run("partitioned-incl-bucketing", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := New[string, int](Options{})
-			bufs := make([]*TaskBuffer[string, int], len(tasks))
-			for t, ps := range tasks {
-				buf := s.NewTaskBuffer()
-				for _, p := range ps {
-					buf.Emit(p.Key, p.Value)
-				}
-				bufs[t] = buf
-			}
-			s.Merge(bufs)
-			var keys int
-			for p := 0; p < s.NumPartitions(); p++ {
-				keys += len(s.Partition(p).SortedKeys())
-			}
-			if keys != nKeys {
-				b.Fatalf("got %d keys", keys)
-			}
-		}
-	})
-}
-
 // BenchmarkExternalShuffle is the acceptance benchmark for the
 // disk-backed spill path: a dataset 8x the total memory budget is
-// merged and fully streamed back, comparing all-in-memory execution
-// against the external shuffle, with and without the combiner pushed
-// down into sealing. Beyond ns/op it reports the memory story:
-// retained-MB is the heap still live after the merge (the in-memory
-// mode retains the whole dataset; the spill mode only the bounded live
-// buffers — near-flat as the dataset grows), and live-pairs-peak
-// proves the budget held. The disk story: spilled-MB is bytes written,
+// written by map tasks and fully streamed back, comparing all-in-memory
+// execution against the external shuffle, with and without the
+// combiner pushed down into sealing. The first three lanes run the 16
+// tasks one after another on a single task writer; the streaming lanes
+// run 128 finer tasks on 8 concurrent writers. Beyond ns/op it reports
+// the memory story: retained-MB is the heap still live after the map
+// phase (the in-memory mode retains the whole dataset; the spill mode
+// only the index), and live-pairs-peak proves the budget held. The disk story: spilled-MB is bytes written,
 // disk-read-MB bytes read back by the streaming merge, and
 // stats-read-MB the disk cost of the Stats profile — zero, since the
 // counting pass merges the runs' resident indexes in memory. The
@@ -154,23 +69,9 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			if combine {
 				s.SetCombiner(sum)
 			}
-			bufs := make([]*TaskBuffer[string, int], len(tasks))
-			for t, ps := range tasks {
-				buf := s.NewTaskBuffer()
-				for _, p := range ps {
-					buf.Emit(p.Key, p.Value)
-				}
-				bufs[t] = buf
-			}
-			bufsDone := func() { // release task buffers before measuring
-				for i := range bufs {
-					bufs[i] = nil
-				}
-			}
-			if err := s.Merge(bufs); err != nil {
+			if err := runTasks(s, 0, tasks, 1); err != nil {
 				b.Fatal(err)
 			}
-			bufsDone()
 			var ms runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
@@ -181,8 +82,8 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if opts.MaxBufferedPairs > 0 && st.MaxLivePairs > opts.MaxBufferedPairs {
-				b.Fatalf("live pairs %d exceeded budget %d", st.MaxLivePairs, opts.MaxBufferedPairs)
+			if opts.MemoryBudget > 0 && st.MaxLivePairs > opts.MemoryBudget {
+				b.Fatalf("live pairs %d exceeded budget %d", st.MaxLivePairs, opts.MemoryBudget)
 			}
 			if opts.SpillDir != "" && st.BytesSpilled == 0 {
 				b.Fatal("external mode never spilled")
@@ -198,7 +99,7 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			// post-combine volume; the per-key sums are checked instead.
 			var got, sums int64
 			for p := 0; p < s.NumPartitions(); p++ {
-				err := s.Partition(p).ForEachGroup(func(_ string, vs []int) error {
+				err := eachGroup(s.Partition(p), false, func(_ string, vs []int) error {
 					got += int64(len(vs))
 					for _, v := range vs {
 						sums += int64(v)
@@ -261,48 +162,38 @@ func BenchmarkExternalShuffle(b *testing.B) {
 	// its small cross-seed spread).
 	b.Run("spill-to-disk-seeded", func(b *testing.B) {
 		defer WithSeed(42)()
-		run(b, Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, false)
+		run(b, Options{Partitions: parts, MemoryBudget: budget, SpillDir: b.TempDir()}, false)
 	})
 	b.Run("spill-with-combiner-seeded", func(b *testing.B) {
 		defer WithSeed(42)()
-		run(b, Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, true)
+		run(b, Options{Partitions: parts, MemoryBudget: budget, SpillDir: b.TempDir()}, true)
 	})
 
-	// The streaming data path on the same workload as spill-to-disk:
-	// concurrent workers emit through an Ingester, flushing blocks into
-	// the exchange while mapping, so sort+encode+spill overlap emission
-	// instead of serializing behind a barrier. The acceptance gates:
-	// ns/op at or below the barrier spill path, and whole-round peak
-	// resident pairs within P*budget + workers*BlockPairs (asserted
-	// in-benchmark and exported as peak-resident-pairs; compare with
-	// the total pair count — streaming residency tracks the budget, not
-	// the dataset). Tasks are finer than the barrier variants' (128 vs
-	// 16): task granularity is the pipeline's scheduling knob — it sets
-	// how much uncommitted in-flight output the ordering watermark
-	// keeps staged — and the barrier path is insensitive to it.
-	// untracedSpilled carries the streaming lane's spilled bytes into
-	// the streaming-traced lane: with swap-based relief the seal points
-	// are a pure function of the committed pair stream, so attaching the
-	// recorder must not move a single spilled byte. The cross-lane
-	// assert pins that invariant (the old fence-valve relief was
-	// timing-sensitive and the recorder's overhead shifted it).
+	// The streaming lanes: the same dataset as 128 finer tasks on 8
+	// concurrent task writers sharing the budget, so sort+encode+spill
+	// run on the writers while they map, and commits land out of task
+	// order. The acceptance gate: whole-round peak resident pairs at or
+	// under P*budget (asserted in-benchmark and exported as
+	// peak-resident-pairs; compare with the total pair count — residency
+	// tracks the budget, not the dataset). untracedSpilled carries the
+	// streaming lane's spilled bytes into the streaming-traced lane: seal
+	// points are a pure function of the per-task pair streams, so
+	// attaching the recorder must not move a single spilled byte.
 	var untracedSpilled int64
 	streamBench := func(b *testing.B, traced bool) {
 		const (
-			workers    = 8
-			blockPairs = 256
-			nStream    = 128
+			workers = 8
+			nStream = 128
 		)
 		streamTasks := benchPairs(total, nStream, nKeys)
 		b.ReportAllocs()
-		var spilledMB, diskReadMB, swapMB, reclaimedMB, overlapMs, finishMs float64
+		var spilledMB, diskReadMB, reclaimedMB, overlapMs float64
 		var reduceRanges, rangeSkew float64
 		var peakResident int64
 		var streamed, wantSpilled int64
 		// One recorder for the whole run: the rings are allocated here,
 		// once, so the measured rounds see the recording cost alone, not
-		// the allocation churn of fresh buffers (whose GC stalls the
-		// fence pressure valve reads as absorption lag). Event rings are
+		// the allocation churn of fresh buffers. Event rings are
 		// pointer-free, so the live buffers are GC-noscan. The default
 		// capacity holds every event of a default benchtime run; a long
 		// -benchtime wraps the rings, which only trips the drop counter.
@@ -312,48 +203,19 @@ func BenchmarkExternalShuffle(b *testing.B) {
 		}
 		for i := -1; i < b.N; i++ {
 			if i == 0 {
-				// Rounds before this one (i = -1) are untimed warmup: a
-				// fresh heap's tiny GC target makes the first round's
-				// collection stalls read as absorption lag, which the
-				// fence pressure valve can amplify into real (measured)
-				// spill I/O. The warmup gets the timed rounds to the
-				// steady-state heap directly.
+				// Rounds before this one (i = -1) are untimed warmup: it
+				// gets the timed rounds to the steady-state heap directly.
 				b.ResetTimer()
 			}
 			s := New[string, int](Options{
-				Partitions: parts, MaxBufferedPairs: budget,
-				BlockPairs: blockPairs, SpillDir: b.TempDir(),
+				Partitions: parts, MemoryBudget: budget, SpillDir: b.TempDir(),
 				// A small rotation threshold so long rounds exercise
-				// spool rotation (dead swap/compacted sections reclaimed
-				// mid-round) under the measured workload.
+				// spool rotation (compacted sections reclaimed mid-round)
+				// under the measured workload.
 				SpoolRotateBytes: 64 << 10,
 				Recorder:         rec,
 			})
-			ing := s.NewIngester()
-			var wg sync.WaitGroup
-			taskCh := make(chan int)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for ti := range taskCh {
-						tw := ing.Task(ti, 0)
-						for _, p := range streamTasks[ti] {
-							tw.Emit(p.Key, p.Value)
-						}
-						if err := tw.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			for ti := range streamTasks {
-				taskCh <- ti
-			}
-			close(taskCh)
-			wg.Wait()
-			if err := ing.Finish(); err != nil {
+			if err := runTasks(s, 0, streamTasks, workers); err != nil {
 				b.Fatal(err)
 			}
 
@@ -361,19 +223,17 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if st.MaxLivePairs > budget {
-				b.Fatalf("live pairs %d exceeded budget %d", st.MaxLivePairs, budget)
+			if st.MaxLivePairs > budget/workers {
+				b.Fatalf("live pairs %d exceeded the writer threshold %d", st.MaxLivePairs, budget/workers)
 			}
-			bound := int64(parts*budget + workers*blockPairs)
-			if st.PeakResidentPairs > bound {
-				b.Fatalf("peak resident pairs %d exceeded bound %d (= P*budget + workers*blockPairs)",
-					st.PeakResidentPairs, bound)
+			if bound := int64(parts * budget); st.PeakResidentPairs > bound {
+				b.Fatalf("peak resident pairs %d exceeded bound %d (= P*budget)", st.PeakResidentPairs, bound)
 			}
 			if st.BytesSpilled == 0 {
 				b.Fatal("streaming mode never spilled")
 			}
 			// Spilled bytes are deterministic: seal points depend only on
-			// the committed pair stream, never on relief timing, so every
+			// the per-task pair streams, never on scheduling, so every
 			// iteration of this workload must spill the same bytes.
 			if wantSpilled == 0 {
 				wantSpilled = st.BytesSpilled
@@ -382,10 +242,8 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			}
 			peakResident = st.PeakResidentPairs
 			spilledMB = float64(st.BytesSpilled) / (1 << 20)
-			swapMB = float64(st.SwapBytes) / (1 << 20)
 			reclaimedMB = float64(st.BytesReclaimed) / (1 << 20)
-			overlapMs = float64(ing.OverlapNs()) / 1e6
-			finishMs = float64(ing.FinishNs()) / 1e6
+			overlapMs = float64(s.SealNs()) / 1e6
 
 			// Range-split parallel read-back: plan key ranges per
 			// partition from the resident footer indexes and read each
@@ -446,7 +304,7 @@ func BenchmarkExternalShuffle(b *testing.B) {
 						}
 						var err error
 						if u.rng < 0 {
-							err = s.Partition(u.p).ForEachGroupBatch(count)
+							err = eachGroup(s.Partition(u.p), true, count)
 						} else {
 							rd := &rds[u.p]
 							rd.mu.Lock()
@@ -509,11 +367,9 @@ func BenchmarkExternalShuffle(b *testing.B) {
 		}
 		b.ReportMetric(float64(peakResident), "peak-resident-pairs")
 		b.ReportMetric(spilledMB, "spilled-MB")
-		b.ReportMetric(swapMB, "swap-MB")
 		b.ReportMetric(reclaimedMB, "reclaimed-MB")
 		b.ReportMetric(diskReadMB, "disk-read-MB")
 		b.ReportMetric(overlapMs, "overlap-ms")
-		b.ReportMetric(finishMs, "finish-drain-ms")
 		b.ReportMetric(reduceRanges, "reduce-ranges")
 		b.ReportMetric(rangeSkew, "range-skew")
 		b.ReportMetric(float64(streamed)/b.Elapsed().Seconds(), "values/s")
@@ -536,16 +392,12 @@ func BenchmarkExternalShuffle(b *testing.B) {
 	b.Run("streaming-traced", func(b *testing.B) { streamBench(b, true) })
 }
 
-// BenchmarkReduceMergeDecode compares the reduce-side decode paths on
+// BenchmarkReduceMergeDecode measures the reduce-side batch decode on
 // a one-million-pair spilled workload (16x the total memory budget):
-// the legacy per-value decode (one framing read and one typed decode
-// per value), the batch decode now behind ForEachGroup (one
-// value-section read and one type dispatch per group), and the full
-// batch contract (ForEachGroupBatch, which additionally reuses the
-// decoded slice). Build and spill are identical untimed setup; only
-// the streaming k-way merge is measured, so values/s compares the
-// decode paths directly. This is the acceptance benchmark for the
-// batch read path: batch must beat per-value.
+// one value-section read and one type dispatch per group, with stable
+// per-group slices ("batch") or the batch contract's reused scratch
+// slice ("batch-reduce"). Build and spill are identical untimed setup;
+// only the streaming k-way merge is measured.
 func BenchmarkReduceMergeDecode(b *testing.B) {
 	const (
 		parts  = 8
@@ -556,31 +408,16 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 	)
 	tasks := benchPairs(total, nTasks, nKeys)
 
-	build := func(b *testing.B, perValue bool) *Shuffle[string, int] {
-		b.Helper()
-		s := New[string, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()})
-		s.perValue = perValue
-		bufs := make([]*TaskBuffer[string, int], len(tasks))
-		for t, ps := range tasks {
-			buf := s.NewTaskBuffer()
-			for _, p := range ps {
-				buf.Emit(p.Key, p.Value)
-			}
-			bufs[t] = buf
-		}
-		if err := s.Merge(bufs); err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-
-	for _, mode := range []string{"per-value", "batch", "batch-reduce"} {
+	for _, mode := range []string{"batch", "batch-reduce"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			var streamed int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s := build(b, mode == "per-value")
+				s := New[string, int](Options{Partitions: parts, MemoryBudget: budget, SpillDir: b.TempDir()})
+				if err := runTasks(s, 0, tasks, 1); err != nil {
+					b.Fatal(err)
+				}
 				b.StartTimer()
 				var got int64
 				count := func(_ string, vs []int) error {
@@ -588,13 +425,7 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 					return nil
 				}
 				for p := 0; p < s.NumPartitions(); p++ {
-					var err error
-					if mode == "batch-reduce" {
-						err = s.Partition(p).ForEachGroupBatch(count)
-					} else {
-						err = s.Partition(p).ForEachGroup(count)
-					}
-					if err != nil {
+					if err := eachGroup(s.Partition(p), mode == "batch-reduce", count); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -669,12 +500,8 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 	var rangeSkew float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := New[string, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()})
-		buf := s.NewTaskBuffer()
-		for _, p := range pairs {
-			buf.Emit(p.Key, p.Value)
-		}
-		if err := s.Merge([]*TaskBuffer[string, int]{buf}); err != nil {
+		s := New[string, int](Options{Partitions: parts, MemoryBudget: budget, SpillDir: b.TempDir()})
+		if err := runTasks(s, 0, [][]Pair[string, int]{pairs}, 1); err != nil {
 			b.Fatal(err)
 		}
 
@@ -730,7 +557,7 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 		for _, u := range units {
 			var err error
 			if u.rng < 0 {
-				err = s.Partition(u.p).ForEachGroupBatch(count)
+				err = eachGroup(s.Partition(u.p), true, count)
 			} else {
 				if readers[u.p] == nil {
 					if readers[u.p], err = s.Partition(u.p).OpenRangeReader(); err != nil {
@@ -768,8 +595,9 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 	b.ReportMetric(float64(streamed)/b.Elapsed().Seconds(), "values/s")
 }
 
-// BenchmarkMergeScaling shows merge throughput as partitions scale from
-// 1 (the seed's effective layout) to 4x cores.
+// BenchmarkMergeScaling shows map-side ingest throughput (one task
+// writer, in-memory runs) as partitions scale from 1 (the seed's
+// effective layout) to 4x cores.
 func BenchmarkMergeScaling(b *testing.B) {
 	const (
 		total  = 1 << 19
@@ -780,18 +608,10 @@ func BenchmarkMergeScaling(b *testing.B) {
 	for _, p := range []int{1, 4, runtime.GOMAXPROCS(0), DefaultPartitions()} {
 		b.Run(fmt.Sprintf("P=%d", ceilPow2(p)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
 				s := New[string, int](Options{Partitions: p})
-				bufs := make([]*TaskBuffer[string, int], len(tasks))
-				for t, ps := range tasks {
-					buf := s.NewTaskBuffer()
-					for _, pr := range ps {
-						buf.Emit(pr.Key, pr.Value)
-					}
-					bufs[t] = buf
+				if err := runTasks(s, 0, tasks, 1); err != nil {
+					b.Fatal(err)
 				}
-				b.StartTimer()
-				s.Merge(bufs)
 			}
 		})
 	}

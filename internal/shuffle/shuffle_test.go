@@ -1,23 +1,99 @@
 package shuffle
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
-// buildBuffers distributes pairs across nTasks buffers round-robin,
+// roundRobin distributes pairs across nTasks task outputs round-robin,
 // preserving emission order within each task.
-func buildBuffers[K comparable, V any](s *Shuffle[K, V], nTasks int, pairs []Pair[K, V]) []*TaskBuffer[K, V] {
-	bufs := make([]*TaskBuffer[K, V], nTasks)
-	for i := range bufs {
-		bufs[i] = s.NewTaskBuffer()
-	}
+func roundRobin[K comparable, V any](nTasks int, pairs []Pair[K, V]) [][]Pair[K, V] {
+	tasks := make([][]Pair[K, V], nTasks)
 	for i, p := range pairs {
-		bufs[i%nTasks].Emit(p.Key, p.Value)
+		tasks[i%nTasks] = append(tasks[i%nTasks], p)
 	}
-	return bufs
+	return tasks
+}
+
+// runTasks runs one map phase over the tasks — task i is tasks[i],
+// numbered from base so a test can feed one shuffle several phases — on
+// the given number of concurrent task writers, writer w running tasks
+// w, w+writers, ... in order and committing each when it has emitted
+// everything, then finishes the phase. Commits from different writers
+// interleave in any order. It returns the first Commit or Finish error.
+func runTasks[K comparable, V any](s *Shuffle[K, V], base int, tasks [][]Pair[K, V], writers int) error {
+	var mu sync.Mutex
+	var first error
+	var wg sync.WaitGroup
+	for w, tw := range s.TaskWriters(writers) {
+		wg.Add(1)
+		go func(w int, tw *TaskWriter[K, V]) {
+			defer wg.Done()
+			for ti := w; ti < len(tasks); ti += writers {
+				tw.Begin(base+ti, 0)
+				for _, p := range tasks[ti] {
+					tw.Emit(p.Key, p.Value)
+				}
+				if err := tw.Commit(); err != nil {
+					mu.Lock()
+					first = cmp.Or(first, err)
+					mu.Unlock()
+				}
+			}
+		}(w, tw)
+	}
+	wg.Wait()
+	return cmp.Or(first, s.Finish())
+}
+
+// writeTasks is runTasks failing the test on error.
+func writeTasks[K comparable, V any](t testing.TB, s *Shuffle[K, V], base int, tasks [][]Pair[K, V], writers int) {
+	t.Helper()
+	if err := runTasks(s, base, tasks, writers); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeTask runs a single task's pairs through one writer.
+func writeTask[K comparable, V any](t testing.TB, s *Shuffle[K, V], pairs ...Pair[K, V]) {
+	t.Helper()
+	writeTasks(t, s, 0, [][]Pair[K, V]{pairs}, 1)
+}
+
+// eachGroup streams one partition's groups in key order through the
+// partition's RangeReader over the whole key range; batch selects the
+// scratch-slice contract.
+func eachGroup[K comparable, V any](p Partition[K, V], batch bool, fn func(k K, vs []V) error) error {
+	rr, err := p.OpenRangeReader()
+	if err != nil {
+		return err
+	}
+	defer rr.Close()
+	return rr.ForEachGroupRange(KeyRange[K]{}, batch, fn)
+}
+
+// allGroups streams every partition's groups into one map (values
+// copied).
+func allGroups[K comparable, V any](t testing.TB, s *Shuffle[K, V]) map[K][]V {
+	t.Helper()
+	got := make(map[K][]V)
+	for p := 0; p < s.NumPartitions(); p++ {
+		err := eachGroup(s.Partition(p), false, func(k K, vs []V) error {
+			if _, dup := got[k]; dup {
+				t.Fatalf("key %v appears in more than one group", k)
+			}
+			got[k] = append([]V(nil), vs...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return got
 }
 
 func TestGroupingMatchesNaiveMerge(t *testing.T) {
@@ -26,8 +102,7 @@ func TestGroupingMatchesNaiveMerge(t *testing.T) {
 		pairs = append(pairs, Pair[string, int]{fmt.Sprintf("k%d", i%37), i})
 	}
 	s := New[string, int](Options{Partitions: 8})
-	bufs := buildBuffers(s, 4, pairs)
-	s.Merge(bufs)
+	writeTasks(t, s, 0, roundRobin(4, pairs), 4)
 
 	// Naive reference grouping in the same task-then-emission order the
 	// shuffle guarantees: task 0's pairs first, then task 1's, ...
@@ -38,17 +113,10 @@ func TestGroupingMatchesNaiveMerge(t *testing.T) {
 		}
 	}
 
-	got := make(map[string][]int)
+	got := allGroups(t, s)
 	var totalPairs int64
 	for p := 0; p < s.NumPartitions(); p++ {
-		part := s.Partition(p)
-		totalPairs += part.Pairs()
-		part.ForEachSorted(func(k string, vs []int) {
-			if _, dup := got[k]; dup {
-				t.Fatalf("key %q appears in more than one partition", k)
-			}
-			got[k] = vs
-		})
+		totalPairs += s.Partition(p).Pairs()
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("grouped values differ from naive merge")
@@ -97,11 +165,11 @@ func TestHasherIsStableAndSpreads(t *testing.T) {
 func TestStructKeysHashAndSort(t *testing.T) {
 	type cell struct{ I, J int }
 	s := New[cell, int](Options{Partitions: 4})
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[cell, int]
 	for i := 0; i < 10; i++ {
-		buf.Emit(cell{i % 3, i % 2}, i)
+		pairs = append(pairs, Pair[cell, int]{cell{i % 3, i % 2}, i})
 	}
-	s.Merge([]*TaskBuffer[cell, int]{buf})
+	writeTask(t, s, pairs...)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -141,34 +209,34 @@ func TestSortKeysTypedPaths(t *testing.T) {
 }
 
 func TestBoundedMemorySpillPressure(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 10})
+	s := New[int, int](Options{Partitions: 2, MemoryBudget: 10})
 	s.SetPartitioner(func(k int) int { return 0 }) // everything in partition 0
-	buf := s.NewTaskBuffer()
 	const n = 95
+	var pairs []Pair[int, int]
 	for i := 0; i < n; i++ {
-		buf.Emit(i%7, i)
+		pairs = append(pairs, Pair[int, int]{i % 7, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sealing at the budget is deterministic: 95 pairs against a
-	// 10-pair budget seal exactly 9 runs of 10, leaving 5 live.
+	// 10-pair budget (one writer holds all of it) seal exactly 9 runs
+	// of 10 under pressure, and the 5-pair tail seals at commit. Finish
+	// folds the 10 in-memory runs into one.
 	if st.SpillEvents != 9 {
 		t.Errorf("SpillEvents = %d, want exactly 9 runs of 10", st.SpillEvents)
 	}
-	if st.SpilledPairs != 90 || s.parts[0].livePairs != 5 {
-		t.Errorf("spilled %d, live %d; want 90 and 5", st.SpilledPairs, s.parts[0].livePairs)
+	if st.SpilledPairs != 90 {
+		t.Errorf("spilled %d, want 90", st.SpilledPairs)
 	}
 	if st.MaxLivePairs != 10 {
 		t.Errorf("MaxLivePairs = %d, want exactly the 10-pair budget", st.MaxLivePairs)
 	}
-	if st.RunsMerged != 10 {
-		t.Errorf("RunsMerged = %d, want 10 (9 sealed + live)", st.RunsMerged)
+	if st.RunsMerged != 0 || len(s.parts[0].mem) != 1 {
+		t.Errorf("RunsMerged = %d over %d runs, want the in-memory runs folded into one", st.RunsMerged, len(s.parts[0].mem))
 	}
 	if st.Pairs != n || st.Keys != 7 {
 		t.Errorf("stats = %+v, want pairs=%d keys=7", st, n)
@@ -180,14 +248,14 @@ func TestBoundedMemorySpillPressure(t *testing.T) {
 	if got := part.NumKeys(); got != 7 {
 		t.Fatalf("NumKeys = %d, want 7", got)
 	}
+	groups := allGroups(t, s)
 	for _, k := range part.SortedKeys() {
-		vs := part.Values(k)
 		var want []int
 		for i := k; i < n; i += 7 {
 			want = append(want, i)
 		}
-		if !reflect.DeepEqual(vs, want) {
-			t.Fatalf("key %d values = %v, want %v", k, vs, want)
+		if !reflect.DeepEqual(groups[k], want) {
+			t.Fatalf("key %d values = %v, want %v", k, groups[k], want)
 		}
 	}
 	if got := s.Partition(1).Pairs(); got != 0 {
@@ -198,11 +266,11 @@ func TestBoundedMemorySpillPressure(t *testing.T) {
 func TestSetPartitionerRouting(t *testing.T) {
 	s := New[string, int](Options{Partitions: 4})
 	s.SetPartitioner(func(k string) int { return len(k) })
-	buf := s.NewTaskBuffer()
-	buf.Emit("a", 1)     // len 1 -> partition 1
-	buf.Emit("bb", 2)    // len 2 -> partition 2
-	buf.Emit("ccccc", 3) // len 5 % 4 -> partition 1
-	s.Merge([]*TaskBuffer[string, int]{buf})
+	writeTask(t, s,
+		Pair[string, int]{"a", 1},     // len 1 -> partition 1
+		Pair[string, int]{"bb", 2},    // len 2 -> partition 2
+		Pair[string, int]{"ccccc", 3}, // len 5 % 4 -> partition 1
+	)
 	if got := s.Partition(1).NumKeys(); got != 2 {
 		t.Errorf("partition 1 keys = %d, want 2", got)
 	}
@@ -214,29 +282,26 @@ func TestSetPartitionerRouting(t *testing.T) {
 	}
 }
 
+// TestMergeAccumulatesAcrossCalls feeds one shuffle two map phases, the
+// second committing its task ahead of the first's in task order: the
+// values must read back in task order, not commit order.
 func TestMergeAccumulatesAcrossCalls(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2})
-	b1 := s.NewTaskBuffer()
-	b1.Emit(1, 10)
-	s.Merge([]*TaskBuffer[int, int]{b1})
-	b2 := s.NewTaskBuffer()
-	b2.Emit(1, 20)
-	s.Merge([]*TaskBuffer[int, int]{b2})
-	p := s.Partition(s.PartitionOf(1))
-	if got := p.Values(1); !reflect.DeepEqual(got, []int{10, 20}) {
-		t.Fatalf("Values(1) = %v, want [10 20]", got)
+	writeTasks(t, s, 1, [][]Pair[int, int]{{{1, 20}}}, 1)
+	writeTasks(t, s, 0, [][]Pair[int, int]{{{1, 10}}}, 1)
+	if got := allGroups(t, s)[1]; !reflect.DeepEqual(got, []int{10, 20}) {
+		t.Fatalf("values of 1 = %v, want [10 20]", got)
 	}
 }
 
 func TestStatsSkewAndString(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2})
 	s.SetPartitioner(func(k int) int { return k % 2 })
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[int, int]
 	for i := 0; i < 9; i++ {
-		buf.Emit(0, i) // all on partition 0
+		pairs = append(pairs, Pair[int, int]{0, i}) // all on partition 0
 	}
-	buf.Emit(1, 1)
-	s.Merge([]*TaskBuffer[int, int]{buf})
+	writeTask(t, s, append(pairs, Pair[int, int]{1, 1})...)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +319,7 @@ func TestStatsSkewAndString(t *testing.T) {
 
 func TestEmptyShuffle(t *testing.T) {
 	s := New[string, int](Options{})
-	s.Merge(nil)
+	writeTasks[string, int](t, s, 0, nil, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)

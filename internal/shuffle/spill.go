@@ -11,51 +11,45 @@
 //   - Counting reads (Stats, NumKeys, SortedKeys, ForEachGroupCount,
 //     the engine's overflow diagnosis) merge the in-memory indexes and
 //     never open a run file at all: zero disk I/O.
-//   - Value reads (ForEachGroup, Values) run the classic external-sort
-//     merge — one cursor per run driven by a binary heap ordered by
-//     (key, seal order) — but the indexes drive the key ordering, so
-//     the files supply only value bytes.
+//   - Value reads (RangeReader) run the classic external-sort merge —
+//     one cursor per run driven by a binary heap ordered by (key, run
+//     order) — but the indexes drive the key ordering, so the files
+//     supply only value bytes.
 //
 // Because every run is internally sorted, one pass produces the
 // partition's groups in global sorted order with the package's
 // value-order contract intact — values of a key concatenate across
-// runs in seal order, live run last — while holding only one group per
+// runs in (task, seq) order — while holding only one group per
 // run in memory. All run-file reads are metered into the shuffle's
 // DiskBytesRead counter, which is how tests assert the counting path
 // stayed memory-only.
 package shuffle
 
 import (
-	"errors"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/runfile"
 )
 
-// errStopIteration is the internal sentinel for early exit from
-// forEachGroup; it is never returned to callers.
-var errStopIteration = errors.New("shuffle: stop iteration")
-
 // maxDiskRunFanIn caps how many distinct run *files* one partition's
-// merge opens at once. A seal or adoption that would grow a partition
-// past the cap first compacts its existing disk runs into a single run
-// — the classic multi-pass external merge — so open file descriptors
-// stay bounded no matter how far a dataset outgrows the budget, at the
-// cost of logarithmically rewriting spilled bytes. Runs sharing a
-// spool file (the streaming path's fenced runs) count once: the merge
-// reads them through sections of a single handle, so dozens of small
-// fenced runs do not trigger the compaction avalanche their count
-// alone would suggest.
+// merge opens at once. A commit that grows a partition past the cap
+// compacts adjacent disk runs into one — the classic multi-pass
+// external merge — so open file descriptors stay bounded no matter how
+// far a dataset outgrows the budget, at the cost of logarithmically
+// rewriting spilled bytes. Runs sharing a spool file count once: the
+// merge reads them through sections of a single handle.
 const maxDiskRunFanIn = 64
 
 // maxDiskRunsPerPartition caps the total run count of one partition's
 // merge regardless of how the runs share files: every cursor costs a
 // read buffer and a heap slot even when its file handle is shared, so
-// a streaming round whose pressure writes all land in one spool file
-// must still compact once its run count (not file count) outgrows the
+// a round whose seals all land in a few spool files must still compact
+// once its run count (not file count) outgrows the
 // merge. Twice the file fan-in: spool sections are cheaper than files
 // but not free.
 const maxDiskRunsPerPartition = 2 * maxDiskRunFanIn
@@ -108,18 +102,18 @@ type keyCount[K comparable] struct {
 	valOff   int64
 }
 
-// runFile is one spill temp file, shared by every diskRun it embeds
-// and deleted when the last of them is released. A sealed live run
-// owns its whole file (refs = 1); the streaming path's fence spools
-// write several runs — one per staged task — into a single file, so a
-// pressure event costs one create/close/open no matter how many tasks
-// it fences, while each task's run stays independently releasable
-// (abort of one task must not delete another's fenced data).
+// runFile is one spill file, shared by every diskRun it embeds and
+// deleted when the last of them is released: a writer's spool holds
+// many tasks' sections, each independently releasable (an abort of
+// one task must not delete another's data), and a compaction output
+// owns its whole file. Borrowed files (Adopt) belong to another
+// process and are never deleted.
 type runFile struct {
-	path string
-	refs atomic.Int32
-	size atomic.Int64 // bytes written into the file
-	dead atomic.Int64 // bytes of sections already released (rotation trigger)
+	path     string
+	borrowed bool
+	refs     atomic.Int32
+	size     atomic.Int64 // bytes written into the file
+	dead     atomic.Int64 // bytes of sections already released (rotation trigger)
 }
 
 // release drops one reference, removing the file when none remain.
@@ -128,7 +122,7 @@ type runFile struct {
 // spill files is the round ending rather than space coming back to a
 // still-running round).
 func (rf *runFile) release(fs runfile.FS, reclaimed *atomic.Int64) error {
-	if rf.refs.Add(-1) == 0 {
+	if rf.refs.Add(-1) == 0 && !rf.borrowed {
 		if err := fs.Remove(rf.path); err != nil {
 			return err
 		}
@@ -140,33 +134,22 @@ func (rf *runFile) release(fs runfile.FS, reclaimed *atomic.Int64) error {
 }
 
 // diskRun is one sealed run — a complete, self-contained run-file
-// image embedded in a (possibly shared) temp file at [off, off+size) —
+// image embedded in a (possibly shared) file at [off, off+size) —
 // together with its resident index; pairs drives the tiered compaction
-// policy (small fresh seals vs large compacted runs).
+// policy (small fresh seals vs large compacted runs), and [first, last]
+// is the range of tasks whose runs it holds (one task unless it is a
+// compaction output).
 type diskRun[K comparable] struct {
-	file  *runFile
-	off   int64
-	size  int64
-	pairs int64
-	index []keyCount[K]
+	file        *runFile
+	off         int64
+	size        int64
+	pairs       int64
+	index       []keyCount[K]
+	first, last int
 }
 
-// countingReader meters every byte read from a run file into the
-// shuffle's DiskBytesRead counter.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-// countingReaderAt is countingReader for the positioned-read fallback:
-// cursors share one handle with no seek state, so every section read
-// is a pread, metered the same way.
+// countingReaderAt meters every byte of a positioned run-file read
+// into the shuffle's DiskBytesRead counter.
 type countingReaderAt struct {
 	ra io.ReaderAt
 	n  *atomic.Int64
@@ -178,44 +161,7 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// writeRun encodes one sorted run (keys in sorted order, groups from
-// the map) to a new run file under the spill dir and returns the run
-// with its typed resident index, plus the body and index byte counts.
-// Shared by live-run seals (spillToDisk) and the streaming path's
-// fenced staged spills (ingest.go).
-func writeRun[K comparable, V any](s *Shuffle[K, V], keys []K, groups map[K][]V, pairs int64) (dr diskRun[K], body, idx int64, retErr error) {
-	f, err := s.fs.CreateTemp(s.opts.SpillDir, "mr-spill-*.run")
-	if err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: creating spill file: %w", err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-			s.fs.Remove(f.Name())
-		}
-	}()
-	w := runfile.NewWriter(f)
-	if err := writeGroups(w, f.Name(), keys, groups); err != nil {
-		return dr, 0, 0, err
-	}
-	if err := w.Finish(); err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: flushing spill %s: %w", f.Name(), err)
-	}
-	if err := f.Close(); err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: closing spill %s: %w", f.Name(), err)
-	}
-	ok = true
-	rf := &runFile{path: f.Name()}
-	rf.refs.Store(1)
-	rf.size.Store(w.BytesWritten())
-	dr = diskRun[K]{file: rf, off: 0, size: w.BytesWritten(), pairs: pairs, index: typedIndex(keys, w.Index(), w.BodyBytes())}
-	return dr, w.BodyBytes(), w.BytesWritten() - w.BodyBytes(), nil
-}
-
-// writeGroups encodes one sorted run onto an already-open writer
-// (shared by writeRun and the fence spool, which appends several
-// complete runs to one file).
+// writeGroups encodes one sorted run onto an already-open writer.
 func writeGroups[K comparable, V any](w *runfile.Writer, name string, keys []K, groups map[K][]V) error {
 	var kbuf, vbuf []byte
 	var err error
@@ -237,27 +183,6 @@ func writeGroups[K comparable, V any](w *runfile.Writer, name string, keys []K, 
 				return fmt.Errorf("shuffle: spilling to %s: %w", name, err)
 			}
 		}
-	}
-	return nil
-}
-
-// spillToDisk encodes the live run (already combined when the shuffle
-// has a combiner) to a new run file in sorted key order and retains its
-// typed index. Called from the partition's owning merge goroutine, or
-// under the partition lock on the streaming path.
-func (st *partitionState[K, V]) spillToDisk(s *Shuffle[K, V]) error {
-	dr, body, idx, err := writeRun(s, sortedMapKeys(st.live), st.live, int64(st.livePairs))
-	if err != nil {
-		return err
-	}
-	st.disk = append(st.disk, dr)
-	st.spilledToDisk = true
-	st.bytesSpilled += body
-	st.indexBytes += idx
-	if needsCompaction(st.disk) {
-		s.diskSem <- struct{}{}
-		defer func() { <-s.diskSem }()
-		return st.compactDiskRuns(s, st.lane, false)
 	}
 	return nil
 }
@@ -284,43 +209,64 @@ func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry, bodyEnd in
 	return index
 }
 
-// compactionSuffix picks which runs to compact when the fan-in cap is
-// hit: the contiguous suffix of "small" runs (fresh budget-sized
-// seals), leaving earlier already-compacted large runs untouched so
-// each pair is rewritten once per tier rather than on every
-// compaction. When the suffix holds fewer than two runs the list is
-// all large runs — a higher-tier merge — and everything is compacted.
-// Each tier is ~maxDiskRunFanIn/2 times larger than the last, so total
-// rewrite amplification is logarithmic in the spilled volume.
-func compactionSuffix[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K]) int {
-	large := int64(s.opts.MaxBufferedPairs) * (maxDiskRunFanIn / 2)
-	from := 0
-	for i := len(disk) - 1; i >= 0; i-- {
-		if disk[i].pairs >= large {
-			from = i + 1
-			break
+// compactionWindow picks the disk runs [from, to) to compact. Only runs
+// adjacent in (task, seq) order with no uncommitted task between them
+// may merge — an uncommitted task's runs may still land in that gap —
+// so the runs split into gap-free segments. Within a segment the
+// window is the suffix of "small" runs (fresh seals), leaving earlier
+// already-compacted large runs untouched so each pair is rewritten once
+// per tier rather than on every compaction; when that suffix holds
+// fewer than two runs the whole segment merges (a higher tier). Each
+// tier is ~maxDiskRunFanIn/2 times larger than the last, so rewrite
+// amplification is logarithmic in the spilled volume. The longest
+// candidate wins; to == from means nothing can merge yet. The caller
+// holds the partition lock.
+func (s *Shuffle[K, V]) compactionWindow(disk []diskRun[K]) (from, to int) {
+	large := int64(s.opts.MemoryBudget) * (maxDiskRunFanIn / 2)
+	s.commitMu.Lock()
+	defer s.commitMu.Unlock()
+	for lo := 0; lo < len(disk); {
+		hi := lo + 1
+	gap:
+		for ; hi < len(disk); hi++ {
+			for t := disk[hi-1].last + 1; t < disk[hi].first; t++ {
+				if !s.committed[t] {
+					break gap
+				}
+			}
 		}
+		f := lo
+		for i := hi - 1; i >= lo; i-- {
+			if disk[i].pairs >= large {
+				f = i + 1
+				break
+			}
+		}
+		if hi-f < 2 {
+			f = lo
+		}
+		if hi-f >= 2 && hi-f > to-from {
+			from, to = f, hi
+		}
+		lo = hi
 	}
-	if len(disk)-from < 2 {
-		return 0
-	}
-	return from
+	return from, to
 }
 
-// compactDiskRuns merges the suffix of disk runs chosen by
-// compactionSuffix into one new run file and splices it into st.disk.
-// The caller holds st.mu (streaming path) or owns the partition
-// outright (barrier path). With concurrent set — the async compaction
+// compactDiskRuns merges the window of disk runs chosen by
+// compactionWindow into one new run file and splices it into st.disk.
+// The caller holds st.mu. With concurrent set — the async compaction
 // workers — the merge I/O runs with st.mu released: the input runs are
-// immutable once sealed and concurrent seals only append to st.disk,
-// so the planned [from, from+n) window is still the same runs at
-// install time, and the splice simply carries any newer seals along.
-// The span is recorded on lane: the partition's own lane inline, a
-// compactor lane when concurrent (spans of different partitions then
-// interleave freely without breaking per-lane LIFO).
+// immutable, and the window is gap-free, so commits landing meanwhile
+// insert only before or after it; the install finds the window again
+// by its first run. The span is recorded on lane: the committing
+// writer's lane inline, a compactor lane when concurrent.
 func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring, concurrent bool) (retErr error) {
-	from := compactionSuffix(s, st.disk)
-	compacting := append([]diskRun[K](nil), st.disk[from:]...)
+	from, to := s.compactionWindow(st.disk)
+	if to-from < 2 {
+		return nil
+	}
+	compacting := append([]diskRun[K](nil), st.disk[from:to]...)
 	nIn := len(compacting)
 	lane.Begin(obs.OpCompact, int64(nIn), 0)
 	var outPairs int64
@@ -341,6 +287,9 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 		return err
 	}
 
+	from = slices.IndexFunc(st.disk, func(dr diskRun[K]) bool {
+		return dr.file == compacting[0].file && dr.off == compacting[0].off
+	})
 	for _, dr := range compacting {
 		dr.file.dead.Add(dr.size)
 		dr.file.release(s.fs, &s.bytesReclaimed)
@@ -353,11 +302,11 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 		size:  w.BytesWritten(),
 		pairs: w.Pairs(),
 		index: typedIndex(keysWritten, w.Index(), w.BodyBytes()),
+		first: compacting[0].first,
+		last:  compacting[nIn-1].last,
 	}
 	tail := append([]diskRun[K]{merged}, st.disk[from+nIn:]...)
 	st.disk = append(st.disk[:from], tail...)
-	st.bytesSpilled += w.BodyBytes()
-	st.indexBytes += w.BytesWritten() - w.BodyBytes()
 	// A combiner can shrink the partition's held pairs during the
 	// rewrite; keep the partition totals equal to the sum of its group
 	// counts.
@@ -379,7 +328,7 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 // revisit a run's colliding-key groups out of file order, runs the
 // same code as the native key kinds. Groups of the same key that
 // become adjacent in merge order are folded into a single output group
-// whose values concatenate in seal order, preserving the value-order
+// whose values concatenate in run order, preserving the value-order
 // contract; without a combiner each section moves as one raw framed
 // copy, never parsed, while with a combiner the folded values are
 // decoded, re-combined, and re-encoded, shrinking the rewritten bytes
@@ -413,7 +362,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 
 	// Drain whole order-equivalence classes (see forEachGroup): within a
 	// class, groups of the same actual key are folded into one output
-	// group, values concatenating in seal order. Each drained entry is
+	// group, values concatenating in run order. Each drained entry is
 	// just an index record — cursor, key, count, section location — and
 	// the fold loads sections when it writes them.
 	type centry struct {
@@ -478,7 +427,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 			keysWritten = append(keysWritten, k)
 			return nil
 		}
-		// Combiner path: decode the folded group's values in seal order,
+		// Combiner path: decode the folded group's values in run order,
 		// re-combine, re-encode. The scratch slice is reused across
 		// groups; the combined values are encoded before the next group
 		// touches it, so a combiner returning a sub-slice of its input is
@@ -554,11 +503,10 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 
 // runView is one disk run's opened read surface: a zero-copy mapped
 // view of the run's image when the platform and FS support it, or the
-// positioned-read fallback on the shared handle otherwise. Views of
-// runs embedded in one spool file share a single handle and a single
-// mapping, so several cursors — including clamped range cursors reading
-// the same run concurrently — cost one descriptor and one mapping per
-// file.
+// positioned-read fallback on the file's shared handle otherwise. Runs
+// embedded in one spool file share a single handle, so several cursors
+// — including clamped range cursors reading the same run concurrently
+// — cost one descriptor per file.
 type runView struct {
 	file  runfile.File
 	img   []byte      // mapped view of the run image (zero-copy path)
@@ -566,72 +514,68 @@ type runView struct {
 	raOff int64       // run's offset within the file (ra path)
 }
 
-// openRunViews opens one view per disk run, in seal order. Each spool
-// file is opened once and mapped once (up to the end of its
-// furthest-reaching run) when possible; any mapping failure — no
-// platform support, an injected fault, address-space pressure —
-// silently selects the pread fallback (no seek state, so sibling
-// cursors never interfere). The returned closeAll is safe to call
-// whether or not err is nil; it unmaps and closes every handle opened
-// so far, once each.
+// viewCursor returns a cursor over v walking index — the run's whole
+// resident index, or a range's clamped window of it.
+func viewCursor[K comparable, V any](v runView, runIdx int, fmtKeys bool, index []keyCount[K], meter *atomic.Int64) *groupCursor[K, V] {
+	return &groupCursor[K, V]{
+		runIdx: runIdx, fmtKeys: fmtKeys, idx: index,
+		file: v.file, img: v.img, ra: v.ra, raOff: v.raOff, meter: meter,
+	}
+}
+
+// openRunViews opens one view per disk run, in run order. Each file is
+// opened once; each run is mapped on its own, from the page holding its
+// first byte, because a writer's spool interleaves every partition's
+// sections and a whole-file mapping would let the kernel's fault-around
+// pull other partitions' pages into this reader. Any mapping failure —
+// no platform support, an injected fault, address-space pressure —
+// silently selects the pread fallback for that run (no seek state, so
+// sibling cursors never interfere). The returned closeAll is safe to
+// call whether or not err is nil; it unmaps and closes everything
+// opened so far, once each.
 func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]runView, func(), error) {
-	type openFile struct {
-		f      runfile.File
-		mapped []byte
-	}
-	files := make(map[*runFile]*openFile)
+	files := make(map[*runFile]runfile.File)
+	var maps [][]byte
+	var mapFiles []runfile.File
 	closeAll := func() {
-		for _, of := range files {
-			if of.mapped != nil {
-				// Unmap errors are unactionable here: the views are dead
-				// either way, and errfs releases the real mapping even
-				// when injecting.
-				runfile.Unmap(of.f, of.mapped)
-			}
-			of.f.Close()
+		for i, m := range maps {
+			// Unmap errors are unactionable here: the views are dead
+			// either way, and errfs releases the real mapping even when
+			// injecting.
+			runfile.Unmap(mapFiles[i], m)
+		}
+		for _, f := range files {
+			f.Close()
 		}
 	}
-	mapLen := make(map[*runFile]int64, len(runs))
-	for _, dr := range runs {
-		if end := dr.off + dr.size; end > mapLen[dr.file] {
-			mapLen[dr.file] = end
-		}
-	}
+	page := int64(os.Getpagesize())
 	views := make([]runView, 0, len(runs))
 	for _, dr := range runs {
-		of, ok := files[dr.file]
+		f, ok := files[dr.file]
 		if !ok {
-			f, err := s.fs.Open(dr.file.path)
-			if err != nil {
+			var err error
+			if f, err = s.fs.Open(dr.file.path); err != nil {
 				return views, closeAll, fmt.Errorf("shuffle: opening spill run: %w", err)
 			}
-			of = &openFile{f: f}
-			if !s.opts.DisableMmap {
-				if m, err := runfile.Map(f, mapLen[dr.file]); err == nil {
-					of.mapped = m
-				}
-			}
-			files[dr.file] = of
+			files[dr.file] = f
 		}
-		v := runView{file: of.f}
-		if of.mapped != nil {
-			v.img = of.mapped[dr.off : dr.off+dr.size]
-		} else {
-			v.ra = countingReaderAt{of.f, &s.diskRead}
-			v.raOff = dr.off
+		v := runView{file: f, ra: countingReaderAt{f, &s.diskRead}, raOff: dr.off}
+		if base := dr.off &^ (page - 1); !s.opts.DisableMmap {
+			if m, err := runfile.Map(f, base, dr.off+dr.size-base); err == nil {
+				maps, mapFiles = append(maps, m), append(mapFiles, f)
+				v.img = m[dr.off-base:]
+			}
 		}
 		views = append(views, v)
 	}
 	return views, closeAll, nil
 }
 
-// openDiskCursors opens one cursor per disk run, in seal order, each
+// openDiskCursors opens one cursor per disk run, in run order, each
 // metered through the shuffle's DiskBytesRead counter. The cursor's
 // key ordering comes from the run's resident index; the file supplies
 // only value-section bytes, addressed directly through the index (see
-// openRunViews for the mapped-view/pread split). The legacy perValue
-// hook additionally keeps a sequential reader per run so the pre-batch
-// decode loop stays measurable.
+// openRunViews for the mapped-view/pread split).
 func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K], fmtKeys bool) ([]*groupCursor[K, V], func(), error) {
 	views, closeAll, err := openRunViews(s, runs)
 	if err != nil {
@@ -639,19 +583,7 @@ func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K], f
 	}
 	cursors := make([]*groupCursor[K, V], 0, len(runs))
 	for i, dr := range runs {
-		c := &groupCursor[K, V]{
-			runIdx: i, fmtKeys: fmtKeys, perValue: s.perValue, idx: dr.index,
-			file: views[i].file, img: views[i].img, ra: views[i].ra, raOff: views[i].raOff,
-			meter: &s.diskRead,
-		}
-		if s.perValue {
-			var src io.Reader = views[i].file
-			if dr.off != 0 {
-				src = io.NewSectionReader(views[i].file, dr.off, dr.size)
-			}
-			c.rd = runfile.NewReader(countingReader{src, &s.diskRead})
-		}
-		cursors = append(cursors, c)
+		cursors = append(cursors, viewCursor[K, V](views[i], i, fmtKeys, dr.index, &s.diskRead))
 	}
 	return cursors, closeAll, nil
 }
@@ -672,21 +604,21 @@ func primeCursors[K comparable, V any](h *cursorHeap[K, V], cursors []*groupCurs
 }
 
 // Close deletes the shuffle's spill files; call it once the reduce
-// phase is done with the partitions. Afterwards ForEachGroup and Stats
+// phase is done with the partitions. Afterwards reads and Stats
 // on a partition that had spilled return an error rather than the
-// silently truncated live-only view (a Stats result memoized before
+// silently truncated in-memory view (a Stats result memoized before
 // Close stays servable — it needs no disk). Close must not run
 // concurrently with reads.
 func (s *Shuffle[K, V]) Close() error {
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
+	s.closeMu.Lock()
+	defer s.closeMu.Unlock()
 	if s.closed {
 		return nil
 	}
 	// Quiesce the async compaction workers first: an in-flight merge
 	// holds run files open and would install its output into the
 	// partitions being torn down. Errors they hit surface through
-	// Ingester.Finish; Close only waits.
+	// Finish; Close only waits.
 	s.compactWG.Wait()
 	if s.compactCh != nil {
 		close(s.compactCh)
@@ -703,47 +635,40 @@ func (s *Shuffle[K, V]) Close() error {
 			}
 		}
 		st.disk = nil
-		// Swapped sections of tasks that never committed (the round
-		// failed mid-ingestion) still hold references to their stash
-		// files; release them too, and the spools' write handles when a
-		// failed round never reached Ingester.Finish.
-		for _, sr := range st.staged {
-			for _, sec := range sr.swapped {
-				if err := sec.rf.release(s.fs, nil); err != nil && first == nil {
+	}
+	// A round that failed before Finish still holds its writers' spool
+	// handles; uncommitted attempts' sections are released with them.
+	for _, w := range s.writers {
+		for _, r := range w.runs {
+			if r.disk.file != nil {
+				if err := r.disk.file.release(s.fs, nil); err != nil && first == nil {
 					first = err
 				}
 			}
 		}
-		st.staged = nil
-		if st.pspool != nil {
-			if err := st.pspool.close(nil); err != nil && first == nil {
+		w.runs = nil
+		if w.spool != nil {
+			if err := w.spool.close(nil); err != nil && first == nil {
 				first = err
 			}
-			st.pspool = nil
-		}
-		if st.stash != nil {
-			if err := st.stash.close(nil); err != nil && first == nil {
-				first = err
-			}
-			st.stash = nil
 		}
 	}
+	s.writers = nil
 	s.closed = true
 	return first
 }
 
 // groupCursor walks one run's groups in canonical key order: an
-// in-memory map run over its sorted key slice, or a spilled run driven
-// by its resident index — with the run file attached only when values
-// are being read.
+// in-memory run over its sorted keys and value lists, or a spilled run
+// driven by its resident index — with the run file attached only when
+// values are being read.
 type groupCursor[K comparable, V any] struct {
-	runIdx   int  // seal order; the live run is last
-	fmtKeys  bool // cache fmt.Sprint of each key (formatted-order kinds)
-	perValue bool // legacy per-value decode (bench/test comparison hook)
+	runIdx  int  // run order: disk runs, then in-memory runs
+	fmtKeys bool // cache fmt.Sprint of each key (formatted-order kinds)
 
 	// in-memory source
-	mem     map[K][]V
 	memKeys []K
+	memVals [][]V
 
 	// spilled source: the resident index drives keys, counts and value
 	// section locations; the file (img view or ReaderAt, both nil on
@@ -754,10 +679,7 @@ type groupCursor[K comparable, V any] struct {
 	ra    io.ReaderAt        // positioned-read fallback (shared handle)
 	raOff int64              // run's offset within the file (ra path)
 	meter *atomic.Int64      // DiskBytesRead, charged per section load
-	rd    *runfile.Reader    // sequential reader (perValue hook only)
-	kbuf  []byte             // reused key-framing scratch for rd
-	vbuf  []byte             // reused value scratch for rd (per-value path)
-	batch runfile.ValueBatch // reused value-section arena or view (batch path)
+	batch runfile.ValueBatch // reused value-section arena or view
 	vals  []V                // reused decoded-values scratch (reuse mode)
 
 	pos int
@@ -774,12 +696,12 @@ type groupCursor[K comparable, V any] struct {
 // of the run. Purely in-memory: spilled cursors step their index; the
 // file is touched only when values() is called.
 func (c *groupCursor[K, V]) next() (bool, error) {
-	if c.mem != nil {
+	if c.memKeys != nil {
 		if c.pos >= len(c.memKeys) {
 			return false, nil
 		}
 		c.key = c.memKeys[c.pos]
-		c.count = len(c.mem[c.key])
+		c.count = len(c.memVals[c.pos])
 		c.pos++
 	} else {
 		if c.pos >= len(c.idx) {
@@ -825,40 +747,12 @@ func (c *groupCursor[K, V]) loadSection(valOff, valBytes int64, count int) error
 // group's value section, loadSection brings it in (mapped view or one
 // pread — no framing decoded, no intermediate copy), and the batch is
 // decoded with a single type dispatch (runfile.DecodeBatch). With
-// reuse set — the ForEachGroupBatch contract — the decoded slice is
-// the cursor's scratch, overwritten by the next group; otherwise it is
-// freshly owned. The perValue hook restores the pre-batch sequential
-// decode loop so benchmarks can measure the paths head to head.
+// reuse set — the batch reduce contract — the decoded slice is the
+// cursor's scratch, overwritten by the next group; otherwise it is
+// freshly owned.
 func (c *groupCursor[K, V]) values(reuse bool) ([]V, error) {
-	if c.mem != nil {
-		return c.mem[c.key], nil
-	}
-	if c.perValue {
-		kb, n, err := c.rd.NextAppend(c.kbuf[:0])
-		if err != nil {
-			if err == io.EOF {
-				err = fmt.Errorf("file ended before indexed group")
-			}
-			return nil, fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
-		}
-		c.kbuf = kb
-		if n != c.count {
-			return nil, fmt.Errorf("shuffle: reading spill %s: group has %d values, index says %d",
-				c.file.Name(), n, c.count)
-		}
-		vs := make([]V, c.count)
-		for i := range vs {
-			vb, err := c.rd.ValueAppend(c.vbuf[:0])
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
-			}
-			c.vbuf = vb
-			vs[i], err = runfile.Decode[V](vb)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: decoding spill value in %s: %w", c.file.Name(), err)
-			}
-		}
-		return vs, nil
+	if c.memKeys != nil {
+		return c.memVals[c.pos-1], nil
 	}
 	if err := c.loadSection(c.valOff, c.valBytes, c.count); err != nil {
 		return nil, err
@@ -878,7 +772,7 @@ func (c *groupCursor[K, V]) values(reuse bool) ([]V, error) {
 }
 
 // cursorHeap is a binary min-heap of cursors ordered by (current key,
-// seal order), so equal keys pop in seal order and the concatenated
+// run order), so equal keys pop in run order and the concatenated
 // values respect the package's value-order contract. less is the
 // native typed order; when nil (formatted-order kinds) the cursors'
 // cached fkey strings are compared instead, so fmt runs once per group
@@ -941,86 +835,33 @@ func (h *cursorHeap[K, V]) pop() *groupCursor[K, V] {
 	return top
 }
 
-// forEachGroup is the streaming core behind every read API: it yields
-// the partition's groups in canonical sorted key order. When
-// withValues is false the walk is a pure in-memory merge of the
-// spilled runs' resident indexes with the live and sealed in-memory
-// runs — no run file is opened, no byte of disk is read (counting
-// mode, used by Stats, NumKeys, SortedKeys and ForEachGroupCount); fn
-// then receives a nil slice and the group's size in count. With
-// reuseValues set (ForEachGroupBatch) each disk cursor decodes into a
-// scratch slice that its next group overwrites, so fn must not retain
-// the slice; the mode is disabled under the formatted-key fallback,
-// where a class can drain several groups of one cursor before fn runs.
-func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K, count int, vs []V) error) (retErr error) {
+// forEachGroup is the counting merge behind Stats, NumKeys,
+// SortedKeys, ForEachGroupCount and range planning: it yields every
+// group's key and size in canonical sorted key order by merging the
+// spilled runs' resident indexes with the in-memory runs — no run file
+// is opened, no byte of disk is read.
+func (p Partition[K, V]) forEachGroup(fn func(k K, count int) error) error {
 	st := &p.s.parts[p.idx]
 	if p.s.closed && st.spilledToDisk {
 		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-
-	// Fast path: a single live run needs no merge.
-	if len(st.runs) == 0 && len(st.disk) == 0 {
-		for _, k := range sortedMapKeys(st.live) {
-			vs := st.live[k]
-			arg := vs
-			if !withValues {
-				arg = nil
-			}
-			if err := fn(k, len(vs), arg); err != nil {
-				return stopOK(err)
-			}
-		}
-		return nil
-	}
-
 	less := nativeLess[K]()
-	fmtKeys := less == nil
-	reuseValues = reuseValues && !fmtKeys
 	var cursors []*groupCursor[K, V]
-	if withValues && len(st.disk) > 0 {
-		// Bound concurrent open run files across all value readers
-		// (reduce workers): at most diskReadConcurrency partitions hold
-		// their fan-in open at once.
-		p.s.diskSem <- struct{}{}
-		defer func() { <-p.s.diskSem }()
-		// The reduce-merge span covers the window the partition's run
-		// files are held open — counting mode never opens files and is
-		// not recorded.
-		st.lane.Begin(obs.OpReduceMerge, int64(len(st.disk)), 0)
-		defer func() { st.lane.End(obs.OpReduceMerge, 0, errFlag(retErr)) }()
-		var closeAll func()
-		var err error
-		cursors, closeAll, err = openDiskCursors[K, V](p.s, st.disk, fmtKeys)
-		defer closeAll()
-		if err != nil {
-			return err
-		}
-	} else {
-		// Counting mode walks the resident indexes: memory-only.
-		for _, dr := range st.disk {
-			cursors = append(cursors, &groupCursor[K, V]{
-				runIdx: len(cursors), fmtKeys: fmtKeys, idx: dr.index,
-			})
-		}
+	for _, dr := range st.disk {
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: less == nil, idx: dr.index})
 	}
-	for _, run := range st.runs {
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: len(cursors), fmtKeys: fmtKeys, mem: run, memKeys: sortedMapKeys(run),
-		})
+	for _, run := range st.mem {
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: less == nil, memKeys: run.keys, memVals: run.vals})
 	}
-	if len(st.live) > 0 {
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: len(cursors), fmtKeys: fmtKeys, mem: st.live, memKeys: sortedMapKeys(st.live),
-		})
-	}
-
-	return mergeGroupCursors(cursors, less, withValues, reuseValues, fn)
+	return mergeGroupCursors(cursors, less, false, false, func(k K, count int, _ []V) error {
+		return fn(k, count)
+	})
 }
 
 // mergeGroupCursors runs the k-way heap merge over an already-built
 // cursor set, yielding groups in canonical key order — the shared core
 // of forEachGroup and the clamped range merges (RangeReader). Cursors
-// must be ordered by runIdx ascending (seal order, live run last) so
+// must be ordered by runIdx ascending (run order) so
 // the value-order contract holds.
 func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less func(a, b K) bool, withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
 	h := &cursorHeap[K, V]{less: less}
@@ -1050,7 +891,7 @@ func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less f
 	}
 	drain := func(c *groupCursor[K, V]) error {
 		// Record the cursor's groups through the end of the class;
-		// cursors are drained in seal order (the heap tie-breaks equal
+		// cursors are drained in run order (the heap tie-breaks equal
 		// keys by runIdx), preserving the value-order contract.
 		for {
 			e := entry{key: c.key, count: c.count}
@@ -1109,19 +950,11 @@ func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less f
 				}
 			}
 			if err := fn(k, count, vs); err != nil {
-				return stopOK(err)
+				return err
 			}
 		}
 	}
 	return nil
-}
-
-// stopOK converts the early-exit sentinel into a clean return.
-func stopOK(err error) error {
-	if err == errStopIteration {
-		return nil
-	}
-	return err
 }
 
 // sortedMapKeys returns m's keys in canonical SortKeys order.
@@ -1132,19 +965,6 @@ func sortedMapKeys[K comparable, V any](m map[K][]V) []K {
 	}
 	SortKeys(keys)
 	return keys
-}
-
-// KeyLess returns the canonical strict order on K — the comparator
-// behind SortKeys, exported for external k-way merges (internal/proc's
-// reduce workers order their section-cursor heap with it). Native
-// kinds compare directly; every other comparable kind falls back to
-// comparing formatted values, matching SortKeys' formatted fallback
-// (callers doing many comparisons should cache the formatted strings).
-func KeyLess[K comparable]() func(a, b K) bool {
-	if lt := nativeLess[K](); lt != nil {
-		return lt
-	}
-	return func(a, b K) bool { return fmt.Sprint(a) < fmt.Sprint(b) }
 }
 
 // nativeLess returns the typed strict order underlying SortKeys —
@@ -1187,4 +1007,63 @@ func nativeLess[K comparable]() func(a, b K) bool {
 	default:
 		return nil
 	}
+}
+
+// RunImage locates one sorted run image written elsewhere: Length bytes
+// at Offset of the file at Path, whose first DataBytes are run data and
+// the rest its footer index. Proc map workers' committed spool sections
+// are run images.
+type RunImage struct {
+	Path      string
+	Offset    int64
+	Length    int64
+	DataBytes int64
+}
+
+// Adopt appends run images to partition part's disk runs, in the given
+// order — which becomes the value order of their keys — so the images
+// read through the same counting merge, range planning and RangeReader
+// as the shuffle's own runs. Each image's footer index is loaded (a
+// torn footer falls back to a sequential scan) and its keys decoded
+// once; values stay on disk. The files are borrowed: Close never
+// deletes them.
+func (s *Shuffle[K, V]) Adopt(part int, runs []RunImage) error {
+	st := &s.parts[part]
+	files := make(map[string]*runFile)
+	for _, r := range runs {
+		rf := files[r.Path]
+		if rf == nil {
+			rf = &runFile{path: r.Path, borrowed: true}
+			files[r.Path] = rf
+		}
+		f, err := s.fs.Open(r.Path)
+		if err != nil {
+			return fmt.Errorf("shuffle: opening run image %s: %w", r.Path, err)
+		}
+		entries, err := runfile.LoadIndex(io.NewSectionReader(f, r.Offset, r.Length), r.Length)
+		f.Close()
+		if err == nil && (r.DataBytes <= 0 || r.DataBytes > r.Length) {
+			err = fmt.Errorf("%w: %d data bytes in a %d-byte image", runfile.ErrCorrupt, r.DataBytes, r.Length)
+		}
+		if err != nil {
+			return fmt.Errorf("shuffle: run image %s@%d+%d unreadable: %w", r.Path, r.Offset, r.Length, err)
+		}
+		keys := make([]K, len(entries))
+		var pairs int64
+		for i, e := range entries {
+			if keys[i], err = runfile.Decode[K](e.Key); err != nil {
+				return fmt.Errorf("shuffle: decoding key in run image %s@%d: %w", r.Path, r.Offset, err)
+			}
+			pairs += e.Count
+		}
+		rf.refs.Add(1)
+		st.disk = append(st.disk, diskRun[K]{
+			file: rf, off: r.Offset, size: r.Length, pairs: pairs,
+			index: typedIndex(keys, entries, r.DataBytes),
+		})
+		st.pairs += pairs
+		st.spilledToDisk = true
+	}
+	s.invalidateStats()
+	return nil
 }

@@ -21,24 +21,19 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 		keys   = 97          // co-prime with total: uneven groups
 	)
 	dir := t.TempDir()
-	s := New[int, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: dir})
+	s := New[int, int](Options{Partitions: parts, MemoryBudget: budget, SpillDir: dir})
 	defer s.Close()
 
 	const tasks = 8
-	bufs := make([]*TaskBuffer[int, int], tasks)
-	for i := range bufs {
-		bufs[i] = s.NewTaskBuffer()
-	}
+	bufs := make([][]Pair[int, int], tasks)
 	want := make(map[int][]int) // reference grouping in shuffle value order
 	for task := 0; task < tasks; task++ {
 		for i := task; i < total; i += tasks {
-			bufs[task].Emit(i%keys, i)
+			bufs[task] = append(bufs[task], Pair[int, int]{i % keys, i})
 			want[i%keys] = append(want[i%keys], i)
 		}
 	}
-	if err := s.Merge(bufs); err != nil {
-		t.Fatal(err)
-	}
+	writeTasks(t, s, 0, bufs, 4)
 
 	st, err := s.Stats()
 	if err != nil {
@@ -61,7 +56,7 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	}
 
 	// Run files actually exist before Close.
-	files, err := filepath.Glob(filepath.Join(dir, "mr-spill-*.run"))
+	files, err := filepath.Glob(filepath.Join(dir, "mr-*.run"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +69,7 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	got := make(map[int][]int)
 	for p := 0; p < s.NumPartitions(); p++ {
 		prev, prevSet := 0, false
-		err := s.Partition(p).ForEachGroup(func(k int, vs []int) error {
+		err := eachGroup(s.Partition(p), false, func(k int, vs []int) error {
 			if prevSet && k <= prev {
 				t.Fatalf("partition %d keys out of order: %d after %d", p, k, prev)
 			}
@@ -97,7 +92,7 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files, _ = filepath.Glob(filepath.Join(dir, "mr-spill-*.run"))
+	files, _ = filepath.Glob(filepath.Join(dir, "mr-*.run"))
 	if len(files) != 0 {
 		t.Fatalf("%d spill files remain after Close", len(files))
 	}
@@ -107,17 +102,12 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 // and unset must produce identical groups and identical logical stats.
 func TestSpillMatchesInMemorySealing(t *testing.T) {
 	build := func(spillDir string) *Shuffle[string, int] {
-		s := New[string, int](Options{Partitions: 4, MaxBufferedPairs: 16, SpillDir: spillDir})
-		bufs := make([]*TaskBuffer[string, int], 3)
-		for i := range bufs {
-			bufs[i] = s.NewTaskBuffer()
-		}
+		s := New[string, int](Options{Partitions: 4, MemoryBudget: 16, SpillDir: spillDir})
+		var pairs []Pair[string, int]
 		for i := 0; i < 500; i++ {
-			bufs[i%3].Emit(fmt.Sprintf("k%02d", i%23), i)
+			pairs = append(pairs, Pair[string, int]{fmt.Sprintf("k%02d", i%23), i})
 		}
-		if err := s.Merge(bufs); err != nil {
-			t.Fatal(err)
-		}
+		writeTasks(t, s, 0, roundRobin(3, pairs), 1)
 		return s
 	}
 	mem := build("")
@@ -152,11 +142,11 @@ func TestSpillMatchesInMemorySealing(t *testing.T) {
 			vs []int
 		}
 		var memGroups, diskGroups []group
-		memPart.ForEachGroup(func(k string, vs []int) error {
+		eachGroup(memPart, false, func(k string, vs []int) error {
 			memGroups = append(memGroups, group{k, vs})
 			return nil
 		})
-		if err := diskPart.ForEachGroup(func(k string, vs []int) error {
+		if err := eachGroup(diskPart, false, func(k string, vs []int) error {
 			diskGroups = append(diskGroups, group{k, vs})
 			return nil
 		}); err != nil {
@@ -173,19 +163,17 @@ func TestSpillMatchesInMemorySealing(t *testing.T) {
 func TestSpillStructKeysViaGob(t *testing.T) {
 	type cell struct{ I, J int }
 	type payload struct{ X float64 }
-	s := New[cell, payload](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
+	s := New[cell, payload](Options{Partitions: 2, MemoryBudget: 4, SpillDir: t.TempDir()})
 	defer s.Close()
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[cell, payload]
 	want := make(map[cell][]payload)
 	for i := 0; i < 40; i++ {
 		k := cell{i % 5, i % 3}
 		v := payload{float64(i) / 2}
-		buf.Emit(k, v)
+		pairs = append(pairs, Pair[cell, payload]{k, v})
 		want[k] = append(want[k], v)
 	}
-	if err := s.Merge([]*TaskBuffer[cell, payload]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -193,52 +181,48 @@ func TestSpillStructKeysViaGob(t *testing.T) {
 	if st.BytesSpilled == 0 {
 		t.Fatal("struct-key workload never spilled")
 	}
-	got := make(map[cell][]payload)
-	for p := 0; p < s.NumPartitions(); p++ {
-		if err := s.Partition(p).ForEachGroup(func(k cell, vs []payload) error {
-			got[k] = vs
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := allGroups(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("gob round trip diverged: got %d keys, want %d", len(got), len(want))
 	}
 }
 
 // TestCompactionBoundsRunFanIn: a workload sealing far more than
-// maxDiskRunFanIn runs must keep each partition's disk-run count (and
-// therefore the merge's open-file count) bounded via compaction, with
+// maxDiskRunsPerPartition runs must keep each partition's disk-run
+// count (and therefore the merge's width) bounded via compaction, with
 // grouping and value order intact.
 func TestCompactionBoundsRunFanIn(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
+	s := New[int, int](Options{
+		Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir(),
+		CompactionConcurrency: -1, // compact inline at commit: exact tiers
+	})
 	defer s.Close()
 	s.SetPartitioner(func(int) int { return 0 })
-	buf := s.NewTaskBuffer()
-	const n = 2 * 2 * maxDiskRunFanIn // 128 seals of 2: compacts twice
+	const n = 4 * maxDiskRunsPerPartition // 256 tasks sealing one 2-pair run each
+	var pairs []Pair[int, int]
 	want := make(map[int][]int)
 	for i := 0; i < n; i++ {
-		buf.Emit(i%11, i)
+		pairs = append(pairs, Pair[int, int]{i % 11, i})
 		want[i%11] = append(want[i%11], i)
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
+	tasks := make([][]Pair[int, int], n/2)
+	for i := range tasks {
+		tasks[i] = pairs[2*i : 2*i+2]
 	}
-	// 128 seals of 2 pairs: seal 64 compacts everything into a 128-pair
-	// tier-1 run; seals 65-127 accumulate 63 small runs and compact them
-	// into a second tier-1 run WITHOUT rewriting the first (tiered
-	// policy); seal 128 remains small. Fan-in stays far below the cap.
+	writeTasks(t, s, 0, tasks, 1)
+	// 256 runs of 2 pairs: commit 128 compacts everything into a
+	// 256-pair tier-1 run; commits 129-255 accumulate 127 small runs and
+	// compact them into a second tier-1 run WITHOUT rewriting the first
+	// (tiered policy); commit 256 remains small.
 	disk := s.parts[0].disk
 	if len(disk) >= maxDiskRunFanIn {
 		t.Fatalf("partition holds %d disk runs; compaction should cap below %d", len(disk), maxDiskRunFanIn)
 	}
-	if len(disk) != 3 || disk[0].pairs != 128 || disk[1].pairs != 126 || disk[2].pairs != 2 {
+	if len(disk) != 3 || disk[0].pairs != 256 || disk[1].pairs != 254 || disk[2].pairs != 2 {
 		sizes := make([]int64, len(disk))
 		for i, dr := range disk {
 			sizes[i] = dr.pairs
 		}
-		t.Fatalf("disk run sizes = %v, want [128 126 2] (earlier tiers must not be rewritten)", sizes)
+		t.Fatalf("disk run sizes = %v, want [256 254 2] (earlier tiers must not be rewritten)", sizes)
 	}
 	st, err := s.Stats()
 	if err != nil {
@@ -250,32 +234,24 @@ func TestCompactionBoundsRunFanIn(t *testing.T) {
 	if st.Keys != 11 || st.Pairs != n {
 		t.Errorf("stats = keys %d pairs %d, want 11 and %d", st.Keys, st.Pairs, n)
 	}
-	got := make(map[int][]int)
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
-		got[k] = vs
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := allGroups(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatal("compacted grouping diverges from reference (value order must survive compaction)")
 	}
 }
 
 // TestSpillValueOrderAcrossRuns: a key present in several spilled runs
-// and the live run must see its values concatenated in seal order.
+// must see its values concatenated in seal order.
 func TestSpillValueOrderAcrossRuns(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 10, SpillDir: t.TempDir()})
+	s := New[int, int](Options{Partitions: 2, MemoryBudget: 10, SpillDir: t.TempDir()})
 	defer s.Close()
 	s.SetPartitioner(func(int) int { return 0 })
-	buf := s.NewTaskBuffer()
 	const n = 95
+	var pairs []Pair[int, int]
 	for i := 0; i < n; i++ {
-		buf.Emit(i%7, i)
+		pairs = append(pairs, Pair[int, int]{i % 7, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
+	groups := allGroups(t, s)
 	part := s.Partition(0)
 	if got := part.NumKeys(); got != 7 {
 		t.Fatalf("NumKeys = %d, want 7", got)
@@ -285,7 +261,7 @@ func TestSpillValueOrderAcrossRuns(t *testing.T) {
 		for i := k; i < n; i += 7 {
 			want = append(want, i)
 		}
-		if got := part.Values(k); !reflect.DeepEqual(got, want) {
+		if got := groups[k]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("key %d values = %v, want %v", k, got, want)
 		}
 	}
@@ -300,21 +276,19 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 	// All four format as "{a b c}"; two more are unambiguous.
 	colliders := []k2{{"a b", "c"}, {"a", "b c"}}
 	for _, spillDir := range []string{"", t.TempDir()} {
-		s := New[k2, int](Options{Partitions: 2, MaxBufferedPairs: 3, SpillDir: spillDir})
+		s := New[k2, int](Options{Partitions: 2, MemoryBudget: 3, SpillDir: spillDir})
 		s.SetPartitioner(func(k2) int { return 0 })
-		buf := s.NewTaskBuffer()
+		var pairs []Pair[k2, int]
 		want := make(map[k2][]int)
 		for i := 0; i < 30; i++ {
 			k := colliders[i%2]
 			if i%5 == 0 {
 				k = k2{"z", fmt.Sprint(i % 3)}
 			}
-			buf.Emit(k, i)
+			pairs = append(pairs, Pair[k2, int]{k, i})
 			want[k] = append(want[k], i)
 		}
-		if err := s.Merge([]*TaskBuffer[k2, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
+		writeTask(t, s, pairs...)
 		st, err := s.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +300,7 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 			t.Errorf("spillDir=%q: Stats.Keys = %d, want %d", spillDir, st.Keys, len(want))
 		}
 		got := make(map[k2][]int)
-		if err := s.Partition(0).ForEachGroup(func(k k2, vs []int) error {
+		if err := eachGroup(s.Partition(0), false, func(k k2, vs []int) error {
 			if _, dup := got[k]; dup {
 				t.Fatalf("spillDir=%q: key %+v emitted as two groups", spillDir, k)
 			}
@@ -344,28 +318,26 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 
 // TestReadAfterCloseFails: once Close has deleted the spill files,
 // streaming a partition that had spilled must error, not silently
-// return the live-only remainder.
+// return an empty remainder.
 func TestReadAfterCloseFails(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
+	s := New[int, int](Options{Partitions: 2, MemoryBudget: 4, SpillDir: t.TempDir()})
 	s.SetPartitioner(func(int) int { return 0 })
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[int, int]
 	for i := 0; i < 20; i++ {
-		buf.Emit(i%3, i)
+		pairs = append(pairs, Pair[int, int]{i % 3, i})
 	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	writeTask(t, s, pairs...)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Partition(0).ForEachGroup(func(int, []int) error { return nil }); err == nil {
-		t.Error("ForEachGroup after Close returned nil error on a spilled partition")
+	if err := eachGroup(s.Partition(0), false, func(int, []int) error { return nil }); err == nil {
+		t.Error("reading after Close returned nil error on a spilled partition")
 	}
 	if _, err := s.Stats(); err == nil {
 		t.Error("Stats after Close returned nil error on a spilled shuffle")
 	}
 	// The never-spilled partition stays readable.
-	if err := s.Partition(1).ForEachGroup(func(int, []int) error { return nil }); err != nil {
+	if err := eachGroup(s.Partition(1), false, func(int, []int) error { return nil }); err != nil {
 		t.Errorf("unspilled partition unreadable after Close: %v", err)
 	}
 }
@@ -437,22 +409,18 @@ func TestSpillRejectsPointerKeys(t *testing.T) {
 	x := 7
 	key := pk{&x}
 
-	s := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[pk, int]
 	for i := 0; i < 8; i++ {
-		buf.Emit(key, i)
+		pairs = append(pairs, Pair[pk, int]{key, i})
 	}
-	err := s.Merge([]*TaskBuffer[pk, int]{buf})
+	s := New[pk, int](Options{Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir()})
+	err := runTasks(s, 0, [][]Pair[pk, int]{pairs}, 1)
 	if err == nil || !strings.Contains(err.Error(), "cannot spill: key type") {
-		t.Fatalf("Merge err = %v, want a key-type rejection", err)
+		t.Fatalf("Commit err = %v, want a key-type rejection", err)
 	}
 
-	mem := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2})
-	buf = mem.NewTaskBuffer()
-	for i := 0; i < 8; i++ {
-		buf.Emit(key, i)
-	}
-	if err := mem.Merge([]*TaskBuffer[pk, int]{buf}); err != nil {
+	mem := New[pk, int](Options{Partitions: 2, MemoryBudget: 2})
+	if err := runTasks(mem, 0, [][]Pair[pk, int]{pairs}, 1); err != nil {
 		t.Fatalf("in-memory sealing rejected pointer keys: %v", err)
 	}
 	if got := mem.Partition(mem.PartitionOf(key)).NumKeys(); got != 1 {
@@ -469,31 +437,31 @@ func TestSpillRejectsLossyValueTypes(t *testing.T) {
 		Pub  int
 		priv int //nolint:unused
 	}
-	s := New[int, lossy](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
-	buf := s.NewTaskBuffer()
+	s := New[int, lossy](Options{Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir()})
+	var lossyPairs []Pair[int, lossy]
 	for i := 0; i < 8; i++ {
-		buf.Emit(i%2, lossy{i, i})
+		lossyPairs = append(lossyPairs, Pair[int, lossy]{i % 2, lossy{i, i}})
 	}
-	err := s.Merge([]*TaskBuffer[int, lossy]{buf})
+	err := runTasks(s, 0, [][]Pair[int, lossy]{lossyPairs}, 1)
 	if err == nil || !strings.Contains(err.Error(), "cannot spill: value type") {
-		t.Fatalf("Merge err = %v, want a value-type rejection", err)
+		t.Fatalf("Commit err = %v, want a value-type rejection", err)
 	}
 
 	// Pointer-valued payloads round-trip as faithful copies.
-	sp := New[int, *int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
+	sp := New[int, *int](Options{Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir()})
 	defer sp.Close()
-	buf2 := sp.NewTaskBuffer()
+	var ptrPairs []Pair[int, *int]
 	vals := make([]int, 8)
 	for i := range vals {
 		vals[i] = i * 10
-		buf2.Emit(i%2, &vals[i])
+		ptrPairs = append(ptrPairs, Pair[int, *int]{i % 2, &vals[i]})
 	}
-	if err := sp.Merge([]*TaskBuffer[int, *int]{buf2}); err != nil {
+	if err := runTasks(sp, 0, [][]Pair[int, *int]{ptrPairs}, 1); err != nil {
 		t.Fatalf("pointer values should spill: %v", err)
 	}
 	sum := 0
 	for p := 0; p < sp.NumPartitions(); p++ {
-		if err := sp.Partition(p).ForEachGroup(func(_ int, vs []*int) error {
+		if err := eachGroup(sp.Partition(p), false, func(_ int, vs []*int) error {
 			for _, v := range vs {
 				sum += *v
 			}
@@ -508,19 +476,19 @@ func TestSpillRejectsLossyValueTypes(t *testing.T) {
 }
 
 // TestSpillFailureSurfaces: an unusable spill directory must fail the
-// merge with a useful error, not corrupt the shuffle silently.
+// task's commit with a useful error, not corrupt the shuffle silently.
 func TestSpillFailureSurfaces(t *testing.T) {
 	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: 2,
+		Partitions: 2, MemoryBudget: 2,
 		SpillDir: filepath.Join(t.TempDir(), "does", "not", "exist"),
 	})
-	buf := s.NewTaskBuffer()
+	var pairs []Pair[int, int]
 	for i := 0; i < 16; i++ {
-		buf.Emit(i, i)
+		pairs = append(pairs, Pair[int, int]{i, i})
 	}
-	err := s.Merge([]*TaskBuffer[int, int]{buf})
+	err := runTasks(s, 0, [][]Pair[int, int]{pairs}, 1)
 	if err == nil {
-		t.Fatal("Merge succeeded with a nonexistent spill directory")
+		t.Fatal("commit succeeded with a nonexistent spill directory")
 	}
 	if !os.IsNotExist(unwrapAll(err)) {
 		t.Fatalf("err = %v, want a not-exist I/O error", err)

@@ -19,7 +19,7 @@
 #   BENCH_trace_streaming.json  Chrome trace-event timeline of the
 #                       1M-pair streaming round (BenchmarkStreamingTrace1M
 #                       with the recorder armed) — load it in Perfetto to
-#                       see map-task spans overlapping seal/spill spans,
+#                       see map-task spans overlapping their seal spans,
 #                       the span-level view of SpillOverlapNs
 #
 # Usage: scripts/bench.sh [benchtime] [count]   (default 3x, 3)
@@ -40,7 +40,7 @@ TRACE=BENCH_trace_streaming.json
 
 # Write then cat (not a pipe to tee): POSIX sh has no pipefail, and a
 # failed benchmark must fail the script.
-go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkMerge1MPairs|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
+go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
 	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/shuffle > "$TXT" || {
 	status=$?
 	cat "$TXT"

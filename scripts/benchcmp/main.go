@@ -13,8 +13,8 @@
 //   - spilled-MB (growth is worse) against -threshold (default 10%):
 //     the deterministic disk-traffic budget of the external shuffle.
 //   - peak-resident-pairs (growth is worse) against -peak-threshold
-//     (default 10%): the streaming path's whole-round memory bound.
-//     The in-test assertion enforces the hard P*budget+workers*blocks
+//     (default 10%): the shuffle's whole-round memory bound.
+//     The in-test assertion enforces the hard P*budget
 //     ceiling; this gate additionally catches drift underneath it.
 //     Scheduling jitter moves the realized peak a few percent between
 //     runs, so the gate is near-tight rather than exact.
