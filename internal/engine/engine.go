@@ -268,8 +268,9 @@ func (m Metrics) PartitionSkew() float64 {
 // Result is the outcome of one round.
 type Result[K comparable, O any] struct {
 	// Outputs are the reduce outputs in global deterministic order:
-	// keys ascending (shuffle.SortKeys order), emission order within a
-	// key.
+	// keys ascending in shuffle.SortKeys order (numeric, byte order for
+	// strings, field order for structs and arrays), emission order
+	// within a key.
 	Outputs []O
 	// Keys and Loads, when Config.RecordKeys / RecordLoads were set,
 	// are the reduce keys in that same global order and their input

@@ -105,9 +105,9 @@ func (s *WeightSchema) ExpectedReplication() float64 {
 // (k · C(b/d, b/2d))^d ≈ k^d · 2^b · (2d/(πb))^{d/2} strings, using the
 // correct central-binomial asymptotic C(n, n/2) ≈ 2^n·√(2/(πn)). The
 // paper's Section 3.4 expression k²·2^b/(πb) uses 2^n/√(2πn) instead,
-// which drops a factor of 2 per dimension; see PaperPredictedMaxCell and
-// EXPERIMENTS.md. Border replicas add a further (1 + 1/k)^d factor not
-// included in either estimate.
+// which drops a factor of 2 per dimension, so the paper's figure is
+// ~2^d low (see PaperPredictedMaxCell). Border replicas add a further
+// (1 + 1/k)^d factor not included in either estimate.
 func (s *WeightSchema) PredictedMaxCell() float64 {
 	b, d, k := float64(s.B), float64(s.D), float64(s.K)
 	return math.Pow(k, d) * math.Exp2(b) * math.Pow(2*d/(math.Pi*b), d/2)

@@ -132,7 +132,8 @@ func TestStarBoundsRelationship(t *testing.T) {
 	// p = (Nd0/eq)^N and f = pq(1-e), the upper bound's numerator
 	// simplifies to Nd0·(Nd0/eq)^{N-1}/e, which is e^{-N} times the lower
 	// bound's numerator Nd0·(Nd0/q)^{N-1}. (The paper prints the constant
-	// as e(1-e)/e^N — an algebra slip; see EXPERIMENTS.md.) For constant
+	// as e(1-e)/e^N, an algebra slip: the substitution above leaves no
+	// e(1-e) factor, and the ratio checked below is e^{-N}.) For constant
 	// e this is a constant factor, which is the paper's claim.
 	d0 := 1e3
 	numDims := 3

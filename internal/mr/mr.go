@@ -443,7 +443,9 @@ var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximu
 // Run executes the job over inputs and returns the reduce outputs together
 // with the round's metrics. Output order is deterministic: reduce keys are
 // processed in a stable sorted order (numeric for the number kinds, byte
-// order for strings, formatted order otherwise), and within a key the
+// order for strings, field order for named scalars, structs and arrays,
+// formatted order for keys holding pointers, interfaces or channels —
+// see shuffle.SortKeys), and within a key the
 // outputs appear in emission order. Execution happens on the partitioned
 // shuffle executor; the returned Metrics carry its per-partition profile.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
@@ -553,7 +555,8 @@ func defaultPartition[K comparable](k K, nw int) int {
 
 // sortedKeys returns the map's keys in the runtime's canonical
 // deterministic order: typed fast paths for the number kinds and
-// strings, format-once ordering otherwise (see shuffle.SortKeys).
+// strings, the compiled field order for named scalars, structs and
+// arrays, format-once ordering for the rest (see shuffle.SortKeys).
 func sortedKeys[K comparable, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

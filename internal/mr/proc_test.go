@@ -16,6 +16,7 @@ import (
 func TestMain(m *testing.M) {
 	RegisterProc(procWordcount)
 	RegisterProc(procWordcountNoCombine)
+	RegisterProc(procSplitting)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

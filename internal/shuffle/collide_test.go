@@ -7,12 +7,10 @@ import (
 )
 
 // TestCompactionWithCollidingFormattedKeys: distinct struct keys whose
-// fmt.Sprint forms collide sort as order-equals, and each spill run
-// may hold them in either relative order (sortedMapKeys' sort is not
-// stable across fmt-equal keys). Compaction must still fold and copy
-// every group correctly — it cannot assume a run contributes at most
-// one group per order-equivalence class, nor consume a run's groups
-// out of file order.
+// fmt.Sprint forms collide, pushed through compaction at the run cap.
+// The compiled key order separates them (only the formatted fallback,
+// which cannot spill, would tie them), so compaction must fold each
+// key's groups across runs and copy every group correctly.
 func TestCompactionWithCollidingFormattedKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	colliders := []k2{{"a b", "c"}, {"a", "b c"}} // both format as "{a b c}"

@@ -54,24 +54,11 @@ type KeyRange[K comparable] struct {
 // order (the comparator behind SortKeys). Keys order-equal to Lo are
 // inside; keys order-equal to Hi are not.
 func (r KeyRange[K]) Contains(k K) bool {
-	less := nativeLess[K]()
-	if less != nil {
-		if r.HasLo && less(k, r.Lo) {
-			return false
-		}
-		if r.HasHi && !less(k, r.Hi) {
-			return false
-		}
-		return true
+	if compare := nativeCompare[K](); compare != nil {
+		return (!r.HasLo || compare(k, r.Lo) >= 0) && (!r.HasHi || compare(k, r.Hi) < 0)
 	}
 	kf := fmt.Sprint(k)
-	if r.HasLo && kf < r.loFmt {
-		return false
-	}
-	if r.HasHi && !(kf < r.hiFmt) {
-		return false
-	}
-	return true
+	return (!r.HasLo || kf >= r.loFmt) && (!r.HasHi || kf < r.hiFmt)
 }
 
 // PlanReduceRanges cuts the partition into class-aligned key ranges of
@@ -110,20 +97,20 @@ func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs in
 	if targetPairs <= 0 || maxRanges <= 1 || len(keys) == 0 {
 		return nil
 	}
-	less := nativeLess[K]()
+	compare := nativeCompare[K]()
 	var ranges []KeyRange[K]
 	var cur KeyRange[K]
 	var curPairs, curKeys int64
 	var prevFmt string
 	for i, k := range keys {
 		var kf string
-		if less == nil {
+		if compare == nil {
 			kf = fmt.Sprint(k)
 		}
 		if i > 0 && curPairs >= targetPairs && len(ranges) < maxRanges-1 {
 			classStart := false
-			if less != nil {
-				classStart = less(keys[i-1], k)
+			if compare != nil {
+				classStart = compare(keys[i-1], k) < 0
 			} else {
 				classStart = prevFmt < kf
 			}
@@ -149,16 +136,16 @@ func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs in
 // Clamp resolves the range to the [lo, hi) index window of keys, which
 // must be sorted in canonical order.
 func (r KeyRange[K]) Clamp(keys []K) (lo, hi int) {
-	return clampRange(len(keys), func(i int) K { return keys[i] }, nativeLess[K](), r)
+	return clampRange(len(keys), func(i int) K { return keys[i] }, nativeCompare[K](), r)
 }
 
 // lowerBound returns the first i in [0, n) whose key (via keyAt) is not
 // below the bound under the canonical order — the clamp seek shared by
 // the typed and formatted-fallback comparators. boundFmt is the bound's
-// cached formatted form, used when less is nil.
-func lowerBound[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, bound K, boundFmt string) int {
-	if less != nil {
-		return sort.Search(n, func(i int) bool { return !less(keyAt(i), bound) })
+// cached formatted form, used when compare is nil.
+func lowerBound[K comparable](n int, keyAt func(int) K, compare func(a, b K) int, bound K, boundFmt string) int {
+	if compare != nil {
+		return sort.Search(n, func(i int) bool { return compare(keyAt(i), bound) >= 0 })
 	}
 	return sort.Search(n, func(i int) bool { return !(fmt.Sprint(keyAt(i)) < boundFmt) })
 }
@@ -166,13 +153,13 @@ func lowerBound[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, 
 // clampRange resolves a KeyRange to the [lo, hi) index window of a
 // sorted key sequence. The sequence must be sorted in canonical order
 // (it is: run indexes and sorted key slices are written that way).
-func clampRange[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, r KeyRange[K]) (lo, hi int) {
+func clampRange[K comparable](n int, keyAt func(int) K, compare func(a, b K) int, r KeyRange[K]) (lo, hi int) {
 	lo, hi = 0, n
 	if r.HasLo {
-		lo = lowerBound(n, keyAt, less, r.Lo, r.loFmt)
+		lo = lowerBound(n, keyAt, compare, r.Lo, r.loFmt)
 	}
 	if r.HasHi {
-		hi = lowerBound(n, keyAt, less, r.Hi, r.hiFmt)
+		hi = lowerBound(n, keyAt, compare, r.Hi, r.hiFmt)
 	}
 	if hi < lo {
 		hi = lo
@@ -187,9 +174,9 @@ func clampRange[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, 
 // ForEachGroupRange over their own range. Close releases all of it.
 // The partition must be quiescent (reduce phase): no concurrent writes.
 type RangeReader[K comparable, V any] struct {
-	s    *Shuffle[K, V]
-	st   *partitionState[K, V]
-	less func(a, b K) bool
+	s       *Shuffle[K, V]
+	st      *partitionState[K, V]
+	compare func(a, b K) int
 
 	views    []runView // one per disk run, sharing per-file handles
 	closeAll func()
@@ -210,7 +197,7 @@ func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 	if p.s.closed && st.spilledToDisk {
 		return nil, fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	rr := &RangeReader[K, V]{s: p.s, st: st, less: nativeLess[K]()}
+	rr := &RangeReader[K, V]{s: p.s, st: st, compare: nativeCompare[K]()}
 	if len(st.disk) > 0 {
 		rr.hasDisk = true
 		p.s.diskSem <- struct{}{}
@@ -256,12 +243,11 @@ func (rr *RangeReader[K, V]) Close() error {
 // concatenation of all planned ranges in order reproduces the
 // whole-partition merge exactly.
 func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, fn func(k K, vs []V) error) error {
-	fmtKeys := rr.less == nil
-	reuseValues = reuseValues && !fmtKeys
+	fmtKeys := rr.compare == nil
 	var cursors []*groupCursor[K, V]
 	for i, dr := range rr.st.disk {
 		idx := dr.index
-		lo, hi := clampRange(len(idx), func(j int) K { return idx[j].key }, rr.less, r)
+		lo, hi := clampRange(len(idx), func(j int) K { return idx[j].key }, rr.compare, r)
 		if lo == hi {
 			continue
 		}
@@ -270,7 +256,7 @@ func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, 
 	base := len(rr.st.disk)
 	for i, run := range rr.mem {
 		keys := run.keys
-		lo, hi := clampRange(len(keys), func(j int) K { return keys[j] }, rr.less, r)
+		lo, hi := clampRange(len(keys), func(j int) K { return keys[j] }, rr.compare, r)
 		if lo == hi {
 			continue
 		}
@@ -278,7 +264,7 @@ func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, 
 			runIdx: base + i, fmtKeys: fmtKeys, memKeys: keys[lo:hi], memVals: run.vals[lo:hi],
 		})
 	}
-	return mergeGroupCursors(cursors, rr.less, true, reuseValues, func(k K, _ int, vs []V) error {
+	return mergeGroupCursors(cursors, rr.compare, true, reuseValues, func(k K, _ int, vs []V) error {
 		return fn(k, vs)
 	})
 }

@@ -32,8 +32,6 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -679,51 +677,4 @@ func log2Bucket(n int) int {
 		return 0
 	}
 	return bits.Len64(uint64(n)) - 1
-}
-
-// SortKeys sorts keys in the package's canonical deterministic order:
-// numeric order for the integer and float kinds (slices.Sort — pdqsort
-// on the concrete type, no reflection), byte order for strings and,
-// for every other comparable type, order of the formatted value —
-// computed once per key rather than once per comparison, unlike the
-// seed's fmt-per-comparison fallback.
-func SortKeys[K comparable](keys []K) {
-	switch ks := any(keys).(type) {
-	case []int:
-		slices.Sort(ks)
-	case []int8:
-		slices.Sort(ks)
-	case []int16:
-		slices.Sort(ks)
-	case []int32:
-		slices.Sort(ks)
-	case []int64:
-		slices.Sort(ks)
-	case []uint:
-		slices.Sort(ks)
-	case []uint8:
-		slices.Sort(ks)
-	case []uint16:
-		slices.Sort(ks)
-	case []uint32:
-		slices.Sort(ks)
-	case []uint64:
-		slices.Sort(ks)
-	case []uintptr:
-		slices.Sort(ks)
-	case []float32:
-		slices.Sort(ks)
-	case []float64:
-		slices.Sort(ks)
-	case []string:
-		slices.Sort(ks)
-	default:
-		fm := make(map[K]string, len(keys))
-		for _, k := range keys {
-			if _, ok := fm[k]; !ok {
-				fm[k] = fmt.Sprint(k)
-			}
-		}
-		slices.SortFunc(keys, func(a, b K) int { return strings.Compare(fm[a], fm[b]) })
-	}
 }

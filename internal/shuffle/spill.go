@@ -324,9 +324,9 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 // The merge order comes entirely from the runs' resident indexes — no
 // key is decoded from disk — and value sections are addressed through
 // those indexes and loaded on demand in fold order (a mapped view or
-// one pread each), so the formatted-key fallback, where a fold can
-// revisit a run's colliding-key groups out of file order, runs the
-// same code as the native key kinds. Groups of the same key that
+// one pread each), so distinct keys that order alike (NaN fields),
+// where a fold can revisit a run's tied groups out of file order, run
+// the same code as every other key. Groups of the same key that
 // become adjacent in merge order are folded into a single output group
 // whose values concatenate in run order, preserving the value-order
 // contract; without a combiner each section moves as one raw framed
@@ -335,8 +335,8 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 // toward the post-combine communication cost. Peak memory is one
 // group; peak descriptors maxDiskRunFanIn plus the output file.
 func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K]) (path string, w *runfile.Writer, keysWritten []K, retErr error) {
-	less := nativeLess[K]()
-	cursors, closeAll, err := openDiskCursors[K, V](s, compacting, less == nil)
+	compare := nativeCompare[K]()
+	cursors, closeAll, err := openDiskCursors[K, V](s, compacting, compare == nil)
 	defer closeAll()
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting spill runs: %w", err)
@@ -355,7 +355,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	}()
 	w = runfile.NewWriter(out)
 
-	h := &cursorHeap[K, V]{less: less}
+	h := &cursorHeap[K, V]{compare: compare}
 	if err := primeCursors(h, cursors); err != nil {
 		return "", nil, nil, err
 	}
@@ -378,8 +378,8 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	var pivot K
 	var pivotFmt string
 	inClass := func(c *groupCursor[K, V]) bool {
-		if less != nil {
-			return !less(c.key, pivot) && !less(pivot, c.key)
+		if compare != nil {
+			return compare(c.key, pivot) == 0
 		}
 		return c.fkey == pivotFmt
 	}
@@ -773,22 +773,19 @@ func (c *groupCursor[K, V]) values(reuse bool) ([]V, error) {
 
 // cursorHeap is a binary min-heap of cursors ordered by (current key,
 // run order), so equal keys pop in run order and the concatenated
-// values respect the package's value-order contract. less is the
+// values respect the package's value-order contract. compare is the
 // native typed order; when nil (formatted-order kinds) the cursors'
 // cached fkey strings are compared instead, so fmt runs once per group
 // advance, not once per heap comparison.
 type cursorHeap[K comparable, V any] struct {
-	cs   []*groupCursor[K, V]
-	less func(a, b K) bool
+	cs      []*groupCursor[K, V]
+	compare func(a, b K) int
 }
 
 func (h *cursorHeap[K, V]) before(a, b *groupCursor[K, V]) bool {
-	if h.less != nil {
-		if h.less(a.key, b.key) {
-			return true
-		}
-		if h.less(b.key, a.key) {
-			return false
+	if h.compare != nil {
+		if c := h.compare(a.key, b.key); c != 0 {
+			return c < 0
 		}
 		return a.runIdx < b.runIdx
 	}
@@ -845,15 +842,15 @@ func (p Partition[K, V]) forEachGroup(fn func(k K, count int) error) error {
 	if p.s.closed && st.spilledToDisk {
 		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	less := nativeLess[K]()
+	compare := nativeCompare[K]()
 	var cursors []*groupCursor[K, V]
 	for _, dr := range st.disk {
-		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: less == nil, idx: dr.index})
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: compare == nil, idx: dr.index})
 	}
 	for _, run := range st.mem {
-		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: less == nil, memKeys: run.keys, memVals: run.vals})
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: compare == nil, memKeys: run.keys, memVals: run.vals})
 	}
-	return mergeGroupCursors(cursors, less, false, false, func(k K, count int, _ []V) error {
+	return mergeGroupCursors(cursors, compare, false, false, func(k K, count int, _ []V) error {
 		return fn(k, count)
 	})
 }
@@ -863,18 +860,19 @@ func (p Partition[K, V]) forEachGroup(fn func(k K, count int) error) error {
 // of forEachGroup and the clamped range merges (RangeReader). Cursors
 // must be ordered by runIdx ascending (run order) so
 // the value-order contract holds.
-func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less func(a, b K) bool, withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
-	h := &cursorHeap[K, V]{less: less}
+func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], compare func(a, b K) int, withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
+	h := &cursorHeap[K, V]{compare: compare}
 	if err := primeCursors(h, cursors); err != nil {
 		return err
 	}
 
-	// Pop whole order-equivalence classes of the minimum key. For the
-	// native key kinds order-equality is equality, so a class is one
-	// key; for the formatted fallback, distinct keys can collide in
-	// sort order (and each run may hold several of them in arbitrary
-	// relative order), so the class is drained entirely and regrouped
-	// by actual key before emitting — one group per key, always.
+	// Pop whole order-equivalence classes of the minimum key. Under the
+	// typed orders order-equality is equality (NaN fields aside), so a
+	// class is one key; for the formatted fallback, distinct keys can
+	// collide in sort order (and each run may hold several of them in
+	// arbitrary relative order), so the class is drained entirely and
+	// regrouped by actual key before emitting — one group per key,
+	// always.
 	type entry struct {
 		key   K
 		count int
@@ -884,8 +882,8 @@ func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less f
 	var pivot K
 	var pivotFmt string
 	inClass := func(c *groupCursor[K, V]) bool {
-		if less != nil {
-			return !less(c.key, pivot) && !less(pivot, c.key)
+		if compare != nil {
+			return compare(c.key, pivot) == 0
 		}
 		return c.fkey == pivotFmt
 	}
@@ -965,48 +963,6 @@ func sortedMapKeys[K comparable, V any](m map[K][]V) []K {
 	}
 	SortKeys(keys)
 	return keys
-}
-
-// nativeLess returns the typed strict order underlying SortKeys —
-// numeric for the number kinds, byte order for strings — or nil for
-// every other kind, which the merge then orders by cached formatted
-// keys, matching SortKeys' formatted fallback. It must agree with the
-// order runs were written in, i.e. with SortKeys; the test
-// TestNativeLessAgreesWithSortKeys pins that invariant.
-func nativeLess[K comparable]() func(a, b K) bool {
-	var zero K
-	switch any(zero).(type) {
-	case int:
-		return func(a, b K) bool { return any(a).(int) < any(b).(int) }
-	case int8:
-		return func(a, b K) bool { return any(a).(int8) < any(b).(int8) }
-	case int16:
-		return func(a, b K) bool { return any(a).(int16) < any(b).(int16) }
-	case int32:
-		return func(a, b K) bool { return any(a).(int32) < any(b).(int32) }
-	case int64:
-		return func(a, b K) bool { return any(a).(int64) < any(b).(int64) }
-	case uint:
-		return func(a, b K) bool { return any(a).(uint) < any(b).(uint) }
-	case uint8:
-		return func(a, b K) bool { return any(a).(uint8) < any(b).(uint8) }
-	case uint16:
-		return func(a, b K) bool { return any(a).(uint16) < any(b).(uint16) }
-	case uint32:
-		return func(a, b K) bool { return any(a).(uint32) < any(b).(uint32) }
-	case uint64:
-		return func(a, b K) bool { return any(a).(uint64) < any(b).(uint64) }
-	case uintptr:
-		return func(a, b K) bool { return any(a).(uintptr) < any(b).(uintptr) }
-	case float32:
-		return func(a, b K) bool { return any(a).(float32) < any(b).(float32) }
-	case float64:
-		return func(a, b K) bool { return any(a).(float64) < any(b).(float64) }
-	case string:
-		return func(a, b K) bool { return any(a).(string) < any(b).(string) }
-	default:
-		return nil
-	}
 }
 
 // RunImage locates one sorted run image written elsewhere: Length bytes

@@ -268,9 +268,11 @@ func TestSpillValueOrderAcrossRuns(t *testing.T) {
 }
 
 // TestMergeCollidingFormattedKeys: distinct struct keys whose
-// fmt.Sprint forms collide sort as equals in the fallback order, and
-// different runs may order them differently. The k-way merge must
-// still emit exactly one group per actual key with all its values.
+// fmt.Sprint forms collide. The compiled key order compares their
+// fields one at a time, so they no longer tie; the k-way merge must
+// emit exactly one group per actual key with all its values, in memory
+// and spilled. The formatted fallback's tie classes are pinned by
+// TestRangeSplitCollidingKeys.
 func TestMergeCollidingFormattedKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	// All four format as "{a b c}"; two more are unambiguous.
@@ -342,19 +344,21 @@ func TestReadAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestNativeLessAgreesWithSortKeys pins the invariant the k-way merge
-// rests on: for every kind with a typed fast path, nativeLess must
-// order exactly as SortKeys sorts, and the kinds without one must
-// return nil (formatted fallback) — matching SortKeys' default case.
-func TestNativeLessAgreesWithSortKeys(t *testing.T) {
+// TestNativeCompareAgreesWithSortKeys pins the invariant the k-way
+// merge rests on: for every orderable key type — the built-in number
+// kinds and strings, and the compiled order's named scalars, structs
+// and arrays — nativeCompare must order exactly as SortKeys sorts, and
+// the types holding a pointer, interface or channel must return nil
+// (formatted fallback), matching SortKeys' last case.
+func TestNativeCompareAgreesWithSortKeys(t *testing.T) {
 	check := func(t *testing.T, name string, test func() (bool, bool)) {
 		t.Helper()
-		hasLess, agrees := test()
-		if !hasLess {
-			t.Fatalf("%s: nativeLess returned nil for a fast-path kind", name)
+		hasCompare, agrees := test()
+		if !hasCompare {
+			t.Fatalf("%s: nativeCompare returned nil for an orderable type", name)
 		}
 		if !agrees {
-			t.Errorf("%s: nativeLess order disagrees with SortKeys", name)
+			t.Errorf("%s: nativeCompare order disagrees with SortKeys", name)
 		}
 	}
 	check(t, "int", agreeKind([]int{5, -1, 3, 0}))
@@ -373,26 +377,39 @@ func TestNativeLessAgreesWithSortKeys(t *testing.T) {
 	check(t, "string", agreeKind([]string{"b", "a", "c"}))
 
 	type cell struct{ I, J int }
-	if nativeLess[cell]() != nil {
-		t.Error("struct kind should use the formatted fallback (nil)")
+	type nodeID int64
+	type mixed struct {
+		Name string
+		On   bool
+		At   [2]int8
 	}
-	if nativeLess[bool]() != nil {
-		t.Error("bool has no SortKeys fast path; nativeLess must be nil")
+	check(t, "struct", agreeKind([]cell{{10, 0}, {9, 5}, {9, 0}, {-1, 7}}))
+	check(t, "array", agreeKind([][3]uint16{{1, 2, 3}, {1, 0, 9}, {0, 9, 9}}))
+	check(t, "named int", agreeKind([]nodeID{12, -3, 100, 9}))
+	check(t, "bool", agreeKind([]bool{true, false}))
+	check(t, "complex", agreeKind([]complex128{1 + 2i, 1 - 2i, -1}))
+	check(t, "mixed struct", agreeKind([]mixed{{"b", false, [2]int8{}}, {"a", true, [2]int8{1, -1}}, {"a", true, [2]int8{1, -2}}, {"a", false, [2]int8{3}}}))
+
+	type withPtr struct{ P *int }
+	type withAny struct{ A any }
+	type withChan struct{ C chan int }
+	if nativeCompare[withPtr]() != nil || nativeCompare[withAny]() != nil || nativeCompare[withChan]() != nil || nativeCompare[any]() != nil {
+		t.Error("pointer, interface and channel keys must take the formatted fallback (nil)")
 	}
 }
 
-// agreeKind sorts a copy with SortKeys and verifies nativeLess calls
+// agreeKind sorts a copy with SortKeys and verifies nativeCompare calls
 // it strictly ascending.
 func agreeKind[K comparable](vals []K) func() (bool, bool) {
 	return func() (bool, bool) {
-		less := nativeLess[K]()
-		if less == nil {
+		compare := nativeCompare[K]()
+		if compare == nil {
 			return false, false
 		}
 		sorted := append([]K(nil), vals...)
 		SortKeys(sorted)
 		for i := 1; i < len(sorted); i++ {
-			if less(sorted[i], sorted[i-1]) || !less(sorted[i-1], sorted[i]) && sorted[i-1] != sorted[i] {
+			if compare(sorted[i-1], sorted[i]) >= 0 || compare(sorted[i], sorted[i-1]) <= 0 {
 				return true, false
 			}
 		}
