@@ -5,9 +5,10 @@
 package graphs
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -24,56 +25,88 @@ func NewEdge(a, b int) Edge {
 
 // Graph is a simple undirected graph on nodes 0..N-1.
 type Graph struct {
-	N       int
-	Edges   []Edge
-	adj     [][]int   // lazily built adjacency lists, sorted
-	adjOnce sync.Once // guards the lazy build: reducers share one graph
+	N     int
+	Edges []Edge // sorted by (U, V), distinct
+
+	// Lazily built CSR adjacency: node u's neighbours, ascending, are
+	// nbr[off[u]:off[u+1]], and those above u start at mid[u].
+	off, mid []int
+	nbr      []int
+	adjOnce  sync.Once // guards the lazy build: reducers share one graph
 }
 
-// New builds a graph from an edge list, dropping duplicates and loops.
+// New builds a graph from an edge list, dropping duplicates, loops and
+// edges with an endpoint outside 0..n-1.
 func New(n int, edges []Edge) *Graph {
-	seen := make(map[Edge]bool, len(edges))
-	g := &Graph{N: n}
+	kept := make([]Edge, 0, len(edges))
 	for _, e := range edges {
 		e = NewEdge(e.U, e.V)
-		if e.U == e.V || e.U < 0 || e.V >= n || seen[e] {
+		if e.U == e.V || e.U < 0 || e.V >= n {
 			continue
 		}
-		seen[e] = true
-		g.Edges = append(g.Edges, e)
+		kept = append(kept, e)
 	}
-	sort.Slice(g.Edges, func(i, j int) bool {
-		if g.Edges[i].U != g.Edges[j].U {
-			return g.Edges[i].U < g.Edges[j].U
+	if len(kept) == 0 {
+		return &Graph{N: n}
+	}
+	slices.SortFunc(kept, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return g.Edges[i].V < g.Edges[j].V
+		return cmp.Compare(a.V, b.V)
 	})
-	return g
+	return &Graph{N: n, Edges: slices.Clip(slices.Compact(kept))}
 }
 
 // M is the number of edges.
 func (g *Graph) M() int { return len(g.Edges) }
 
-// Adj returns the sorted adjacency list of node u.
+// buildAdj lays out the CSR adjacency in two linear passes over the
+// sorted edges: first every edge's upper endpoint receives its lower
+// one, then every lower endpoint its upper one. Both passes visit a
+// node's neighbours in ascending order and the lower ones all precede
+// the upper ones, so every list comes out sorted.
+func (g *Graph) buildAdj() {
+	off := make([]int, g.N+1)
+	mid := make([]int, g.N) // lower-neighbour counts, then offsets
+	for _, e := range g.Edges {
+		off[e.U+1]++
+		off[e.V+1]++
+		mid[e.V]++
+	}
+	for u := range g.N {
+		off[u+1] += off[u]
+		mid[u] += off[u]
+	}
+	nbr := make([]int, off[g.N])
+	next := slices.Clone(off[:g.N])
+	for _, e := range g.Edges {
+		nbr[next[e.V]] = e.U
+		next[e.V]++
+	}
+	for _, e := range g.Edges {
+		nbr[next[e.U]] = e.V
+		next[e.U]++
+	}
+	g.off, g.mid, g.nbr = off, mid, nbr
+}
+
+// Adj returns the sorted adjacency list of node u. The list is clipped
+// to its length, so appending to it never writes into another node's.
 func (g *Graph) Adj(u int) []int {
-	g.adjOnce.Do(func() {
-		g.adj = make([][]int, g.N)
-		for _, e := range g.Edges {
-			g.adj[e.U] = append(g.adj[e.U], e.V)
-			g.adj[e.V] = append(g.adj[e.V], e.U)
-		}
-		for _, l := range g.adj {
-			sort.Ints(l)
-		}
-	})
-	return g.adj[u]
+	g.adjOnce.Do(g.buildAdj)
+	return g.nbr[g.off[u]:g.off[u+1]:g.off[u+1]]
+}
+
+// fwd returns u's forward neighbours: those above u, ascending.
+func (g *Graph) fwd(u int) []int {
+	return g.nbr[g.mid[u]:g.off[u+1]]
 }
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
-	l := g.Adj(u)
-	i := sort.SearchInts(l, v)
-	return i < len(l) && l[i] == v
+	_, ok := slices.BinarySearch(g.Adj(u), v)
+	return ok
 }
 
 // Degree returns the degree of node u.
@@ -143,55 +176,52 @@ func Star(n int) *Graph {
 	return New(n, edges)
 }
 
-// TriangleCount counts triangles serially with the standard
-// degree-ordered adjacency intersection; it is the correctness baseline
-// for the Section 4 algorithms.
-func (g *Graph) TriangleCount() int64 {
-	var count int64
-	for _, e := range g.Edges {
-		u, v := e.U, e.V
-		au, av := g.Adj(u), g.Adj(v)
-		i, j := 0, 0
-		for i < len(au) && j < len(av) {
-			switch {
-			case au[i] < av[j]:
-				i++
-			case au[i] > av[j]:
-				j++
-			default:
-				if au[i] > v { // count each triangle once: w > v > u
-					count++
+// ForEachTriangle calls f(u, v, w) once for every triangle u < v < w,
+// in lexicographic (u, v, w) order. It is the forward mark-and-scan
+// kernel: for each u it stamps u's forward neighbours, then for each
+// forward neighbour v of u, ascending, it scans v's forward neighbours
+// and reports the stamped ones. The work is O(N + m + Σᵥ indeg(v)·outdeg(v))
+// in the ascending-id orientation, never more than the Σᵥ deg(v)² of
+// intersecting full adjacency lists, plus one N-entry mark array.
+func (g *Graph) ForEachTriangle(f func(u, v, w int)) {
+	g.adjOnce.Do(g.buildAdj)
+	mark := make([]int, g.N)
+	for u := range g.N {
+		fu := g.fwd(u)
+		if len(fu) < 2 {
+			continue
+		}
+		stamp := u + 1
+		for _, w := range fu {
+			mark[w] = stamp
+		}
+		for _, v := range fu[:len(fu)-1] {
+			for _, w := range g.fwd(v) {
+				if mark[w] == stamp {
+					f(u, v, w)
 				}
-				i++
-				j++
 			}
 		}
 	}
+}
+
+// TriangleCount counts triangles serially with ForEachTriangle; it is
+// the correctness baseline for the Section 4 algorithms.
+func (g *Graph) TriangleCount() int64 {
+	var count int64
+	g.ForEachTriangle(func(_, _, _ int) { count++ })
 	return count
 }
 
-// Triangles enumerates all triangles (u < v < w) serially.
+// Triangles enumerates all triangles (u < v < w) serially, in
+// lexicographic order. A counting pass sizes the result exactly.
 func (g *Graph) Triangles() [][3]int {
-	var out [][3]int
-	for _, e := range g.Edges {
-		u, v := e.U, e.V
-		au, av := g.Adj(u), g.Adj(v)
-		i, j := 0, 0
-		for i < len(au) && j < len(av) {
-			switch {
-			case au[i] < av[j]:
-				i++
-			case au[i] > av[j]:
-				j++
-			default:
-				if au[i] > v {
-					out = append(out, [3]int{u, v, au[i]})
-				}
-				i++
-				j++
-			}
-		}
+	n := g.TriangleCount()
+	if n == 0 {
+		return nil
 	}
+	out := make([][3]int, 0, n)
+	g.ForEachTriangle(func(u, v, w int) { out = append(out, [3]int{u, v, w}) })
 	return out
 }
 

@@ -41,3 +41,23 @@ func BenchmarkAdjacency(b *testing.B) {
 		_ = found
 	}
 }
+
+// BenchmarkLocalTriangles measures one reducer of the bucket-triple
+// triangle schema (k = 6): listing the triangles of the subgraph of
+// G(2000, 200000) induced by the nodes of buckets 0, 1 and 2 (about 50k
+// edges), built from the edge list a reducer receives.
+func BenchmarkLocalTriangles(b *testing.B) {
+	const n, k = 2000, 6
+	g := GNM(n, 200_000, rand.New(rand.NewSource(1)))
+	var edges []Edge
+	for _, e := range g.Edges {
+		if e.U%k < 3 && e.V%k < 3 {
+			edges = append(edges, e)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = New(n, edges).Triangles()
+	}
+}

@@ -17,6 +17,7 @@ func TestMain(m *testing.M) {
 	RegisterProc(procWordcount)
 	RegisterProc(procWordcountNoCombine)
 	RegisterProc(procSplitting)
+	RegisterProc(procNaNKey)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

@@ -474,7 +474,11 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 		return MapReport{}, fatal(fmt.Errorf("proc: partitioning map task %d: %w", t.ID, emitErr))
 	}
 	if err := tw.Commit(); err != nil {
-		return MapReport{}, fmt.Errorf("proc: sealing map task %d: %w", t.ID, err)
+		err = fmt.Errorf("proc: sealing map task %d: %w", t.ID, err)
+		if errors.Is(err, shuffle.ErrNaNKey) {
+			err = fatal(err) // the map function's output, not the worker: a retry repeats it
+		}
+		return MapReport{}, err
 	}
 	secs := sink.sections()
 	peak := sh.PeakResidentPairs()

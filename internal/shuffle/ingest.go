@@ -34,6 +34,7 @@
 package shuffle
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -124,11 +125,23 @@ func (w *TaskWriter[K, V]) Begin(task, attempt int) {
 	clear(w.index)
 }
 
+// ErrNaNKey reports a key that is or holds a NaN. Such a key never
+// equals itself, so it cannot find its own group and its values would
+// be lost; the map task that emitted it fails instead.
+var ErrNaNKey = errors.New("shuffle: key holds a NaN and cannot be grouped")
+
 // Emit appends one pair to its partition's live run, sealing the run
-// when it reaches the writer threshold. A seal failure is latched and
-// returned by Commit; later pairs of the attempt are dropped.
+// when it reaches the writer threshold. A seal failure or a NaN key
+// (ErrNaNKey) is latched and returned by Commit; later pairs of the
+// attempt are dropped.
 func (w *TaskWriter[K, V]) Emit(k K, v V) {
 	if w.err != nil {
+		return
+	}
+	// A comparable value differs from itself exactly when it holds a
+	// NaN: directly, in a field or element, or behind an interface.
+	if k != k {
+		w.err = fmt.Errorf("%w: map task %d emitted key %v", ErrNaNKey, w.task, k)
 		return
 	}
 	p := w.s.PartitionOf(k)
@@ -397,18 +410,33 @@ func (s *Shuffle[K, V]) Finish() error {
 }
 
 // foldRuns concatenates in-memory runs into one with its keys in
-// canonical order, each key's values in run order.
+// canonical order, each key's values in run order. A first pass sizes
+// every key's values, so each key's slice is allocated once, exactly,
+// and each source slice is dropped as soon as it is copied: the fold
+// holds the partition's values about once, not once per run plus
+// growth slack.
 func foldRuns[K comparable, V any](runs []memRun[K, V]) memRun[K, V] {
-	groups := make(map[K][]V, len(runs[0].keys))
+	need := make(map[K]int, len(runs[0].keys))
 	for _, r := range runs {
 		for i, k := range r.keys {
-			groups[k] = append(groups[k], r.vals[i]...)
+			need[k] += len(r.vals[i])
 		}
 	}
-	keys := sortedMapKeys(groups)
-	vals := make([][]V, len(keys))
-	for i, k := range keys {
-		vals[i] = groups[k]
+	keys := sortedMapKeys(need)
+	// Turn need into each key's slot, keeping the sizes by slot.
+	vals, size := make([][]V, len(keys)), make([]int, len(keys))
+	for j, k := range keys {
+		size[j], need[k] = need[k], j
+	}
+	for _, r := range runs {
+		for i, k := range r.keys {
+			j := need[k]
+			if vals[j] == nil {
+				vals[j] = make([]V, 0, size[j])
+			}
+			vals[j] = append(vals[j], r.vals[i]...)
+			r.vals[i] = nil
+		}
 	}
 	return memRun[K, V]{task: runs[0].task, keys: keys, vals: vals}
 }

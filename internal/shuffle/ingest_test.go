@@ -1,10 +1,14 @@
 package shuffle
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -585,4 +589,132 @@ func TestStreamingEmptyAndSingleTask(t *testing.T) {
 	if total != n {
 		t.Fatalf("streamed %d pairs, want %d", total, n)
 	}
+}
+
+// appendFold is the fold as it was before it sized values exactly: one
+// map of appended value slices, keys sorted at the end.
+func appendFold[K comparable, V any](runs []memRun[K, V]) memRun[K, V] {
+	groups := make(map[K][]V)
+	for _, r := range runs {
+		for i, k := range r.keys {
+			groups[k] = append(groups[k], r.vals[i]...)
+		}
+	}
+	keys := sortedMapKeys(groups)
+	vals := make([][]V, len(keys))
+	for i, k := range keys {
+		vals[i] = groups[k]
+	}
+	return memRun[K, V]{task: runs[0].task, keys: keys, vals: vals}
+}
+
+// TestFinishFoldExactSize: after Finish an in-memory partition is one
+// run whose every value slice is exactly sized (len == cap) and holds
+// the key's values in task order, and the folded run equals what the
+// appending fold produced from the same runs.
+func TestFinishFoldExactSize(t *testing.T) {
+	for _, nTasks := range []int{1, 2, 8} {
+		for _, budget := range []int{0, 32} {
+			t.Run(fmt.Sprintf("tasks=%d/budget=%d", nTasks, budget), func(t *testing.T) {
+				tasks := ingestTasks(nTasks, 60, 13)
+				want := taskOrder(tasks)
+				s := New[int, int](Options{Partitions: 4, MemoryBudget: budget})
+				writers := s.TaskWriters(min(nTasks, 2))
+				for ti := len(tasks) - 1; ti >= 0; ti-- { // commit out of task order
+					tw := writers[ti%len(writers)]
+					tw.Begin(ti, 0)
+					for _, p := range tasks[ti] {
+						tw.Emit(p.Key, p.Value)
+					}
+					if err := tw.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref := make([]memRun[int, int], len(s.parts))
+				for p := range s.parts {
+					if runs := s.parts[p].mem; len(runs) > 0 {
+						cp := make([]memRun[int, int], len(runs))
+						for i, r := range runs {
+							cp[i] = memRun[int, int]{task: r.task, keys: slices.Clone(r.keys), vals: make([][]int, len(r.vals))}
+							for j, vs := range r.vals {
+								cp[i].vals[j] = slices.Clone(vs)
+							}
+						}
+						ref[p] = appendFold(cp)
+					}
+				}
+				if err := s.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				for p := range s.parts {
+					runs := s.parts[p].mem
+					if len(runs) == 0 {
+						continue
+					}
+					if len(runs) != 1 {
+						t.Fatalf("partition %d: %d runs after Finish, want 1", p, len(runs))
+					}
+					r := runs[0]
+					for i, k := range r.keys {
+						if vs := r.vals[i]; len(vs) != cap(vs) {
+							t.Errorf("partition %d key %d: len %d cap %d", p, k, len(vs), cap(vs))
+						}
+						if !slices.Equal(r.vals[i], want[k]) {
+							t.Errorf("partition %d key %d: values %v, want %v", p, k, r.vals[i], want[k])
+						}
+					}
+					if !reflect.DeepEqual(r, ref[p]) {
+						t.Errorf("partition %d: fold diverges from the appending fold", p)
+					}
+				}
+				if got := allGroups(t, s); !reflect.DeepEqual(got, want) {
+					t.Errorf("reads diverge from task order")
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestEmitRejectsNaNKeys: a key that is, holds or wraps a NaN fails its
+// task at Commit with ErrNaNKey, whatever its shape; -0 and ±Inf keys
+// are ordinary.
+func TestEmitRejectsNaNKeys(t *testing.T) {
+	nan := math.NaN()
+	check := func(name string, bad bool, commit func() error) {
+		t.Helper()
+		if err := commit(); errors.Is(err, ErrNaNKey) != bad {
+			t.Errorf("%s: Commit error %v, want ErrNaNKey: %v", name, err, bad)
+		}
+	}
+	emitOne := func(k any) func() error {
+		return func() error {
+			s := New[any, int](Options{Partitions: 2})
+			tw := s.TaskWriters(1)[0]
+			tw.Begin(3, 0)
+			tw.Emit(1, 1)
+			tw.Emit(k, 2)
+			err := tw.Commit()
+			return cmp.Or(err, s.Finish(), s.Close())
+		}
+	}
+	type inner struct {
+		A [2]float32
+		B string
+	}
+	type outer struct {
+		I   int
+		In  inner
+		Any any
+	}
+	check("float64", true, emitOne(nan))
+	check("float32", true, emitOne(float32(nan)))
+	check("complex", true, emitOne(complex(0, nan)))
+	check("array element", true, emitOne([2]float64{1, nan}))
+	check("nested field", true, emitOne(outer{In: inner{A: [2]float32{0, float32(nan)}}}))
+	check("behind an interface", true, emitOne(outer{Any: nan}))
+	check("-0", false, emitOne(math.Copysign(0, -1)))
+	check("+Inf", false, emitOne(outer{Any: math.Inf(1)}))
 }

@@ -956,7 +956,7 @@ func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], compar
 }
 
 // sortedMapKeys returns m's keys in canonical SortKeys order.
-func sortedMapKeys[K comparable, V any](m map[K][]V) []K {
+func sortedMapKeys[K comparable, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

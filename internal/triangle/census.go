@@ -118,13 +118,11 @@ func findTrianglesJob(s *PartitionSchema, cfg mr.Config, emitAll bool) *mr.Job[g
 			}
 		},
 		Reduce: func(cell int, edges []graphs.Edge, emit func(Triangle)) {
-			local := graphs.New(s.N, edges)
-			for _, tr := range local.Triangles() {
-				if !emitAll && !s.ownsTriangle(cell, tr) {
-					continue
+			graphs.New(s.N, edges).ForEachTriangle(func(u, v, w int) {
+				if emitAll || s.ownsTriangle(cell, [3]int{u, v, w}) {
+					emit(Triangle{u, v, w})
 				}
-				emit(Triangle{tr[0], tr[1], tr[2]})
-			}
+			})
 		},
 		// The schema's reducer cells are an explicit layout: route each
 		// cell to the shuffle partition of its own index so partition

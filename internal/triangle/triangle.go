@@ -304,13 +304,12 @@ func Count(s *PartitionSchema, g *graphs.Graph, cfg mr.Config) (int64, mr.Metric
 			}
 		},
 		Reduce: func(cell int, edges []graphs.Edge, emit func(int64)) {
-			local := graphs.New(s.N, edges)
 			var count int64
-			for _, tr := range local.Triangles() {
-				if s.ownsTriangle(cell, tr) {
+			graphs.New(s.N, edges).ForEachTriangle(func(u, v, w int) {
+				if s.ownsTriangle(cell, [3]int{u, v, w}) {
 					count++
 				}
-			}
+			})
 			emit(count)
 		},
 		Config: cfg,
