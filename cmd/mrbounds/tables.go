@@ -69,13 +69,33 @@ func runTable1() {
 	row(fmt.Sprintf("MatMul (n=%d, q=2n^{1.5})", mn), matmul.Recipe(mn), 2*math.Pow(float64(mn), 1.5))
 }
 
-// runTable2 reprints Table 2 with *measured* replication rates: each
-// constructive algorithm is executed (structurally via core.Measure on
-// the complete instance, and on the MapReduce engine where stated) and
-// its realized r is printed next to the paper's formula.
-func runTable2() {
-	fmt.Println("Table 2 — measured upper bounds on replication rate")
-	fmt.Printf("%-40s %10s %12s %12s\n", "algorithm", "q", "r measured", "r formula")
+// table2Row is one line of Table 2: an algorithm's realized reducer
+// size q and replication rate r, and the recipe's lower bound on r at
+// that q for the exact instance the algorithm ran on.
+type table2Row struct {
+	name     string
+	q        int
+	r        float64
+	bound    float64
+	hasBound bool // false for the star join, whose r is the paper's upper bound
+}
+
+// exactBound evaluates a recipe's lower bound at q with |I| and |O| set
+// to the instance's exact counts, in place of the recipe's asymptotic
+// ones.
+func exactBound(rc core.Recipe, inputs, outputs, q int) float64 {
+	rc.NumInputs, rc.NumOutputs = float64(inputs), float64(outputs)
+	return rc.LowerBound(float64(q))
+}
+
+// table2Rows executes each constructive algorithm (structurally via
+// core.Measure on the complete instance, and on the MapReduce engine
+// where stated) and pairs its realized r with the exact recipe bound.
+func table2Rows() []table2Row {
+	var rows []table2Row
+	measured := func(name string, q int, r float64, rc core.Recipe, inputs, outputs int) {
+		rows = append(rows, table2Row{name, q, r, exactBound(rc, inputs, outputs, q), true})
+	}
 
 	// Hamming-1 Splitting at several c.
 	b := 12
@@ -86,9 +106,8 @@ func runTable2() {
 			panic(err)
 		}
 		st := core.Measure(p, s)
-		fmt.Printf("%-40s %10d %12.4f %12.4f\n",
-			fmt.Sprintf("Hamming-1 Splitting (b=%d, c=%d)", b, c),
-			st.MaxReducerLoad, st.ReplicationRate, hamming.LowerBound(b, float64(st.MaxReducerLoad)))
+		measured(fmt.Sprintf("Hamming-1 Splitting (b=%d, c=%d)", b, c),
+			st.MaxReducerLoad, st.ReplicationRate, hamming.Recipe(b), p.NumInputs(), p.NumOutputs())
 	}
 
 	// Triangles: partition algorithm on K_n.
@@ -100,13 +119,12 @@ func runTable2() {
 			panic(err)
 		}
 		st := core.Measure(tp, s)
-		fmt.Printf("%-40s %10d %12.4f %12.4f\n",
-			fmt.Sprintf("Triangles partition (n=%d, k=%d)", n, k),
-			st.MaxReducerLoad, st.ReplicationRate,
-			triangle.LowerBound(n, float64(st.MaxReducerLoad)))
+		measured(fmt.Sprintf("Triangles partition (n=%d, k=%d)", n, k),
+			st.MaxReducerLoad, st.ReplicationRate, triangle.Recipe(n), tp.NumInputs(), tp.NumOutputs())
 	}
 
 	// Sample graphs: matcher on a random graph, measured on the engine.
+	// The instance's inputs are its edges and its outputs its triangles.
 	rng := rand.New(rand.NewSource(1))
 	data := graphs.GNM(24, 90, rng)
 	m, err := subgraph.NewMatcher(graphs.Cycle(3), 2)
@@ -117,10 +135,8 @@ func runTable2() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%-40s %10d %12.4f %12.4f\n",
-		"Sample graph matcher (triangle, b=2)", met.MaxReducerInput,
-		met.ReplicationRate(),
-		subgraph.EdgeLowerBound(float64(data.M()), 3, float64(met.MaxReducerInput)))
+	measured("Sample graph matcher (triangle, b=2)", int(met.MaxReducerInput), met.ReplicationRate(),
+		core.Recipe{G: triangle.MaxTrianglesAmongEdges}, data.M(), int(data.TriangleCount()))
 
 	// 2-paths.
 	np := 24
@@ -131,10 +147,8 @@ func runTable2() {
 			panic(err)
 		}
 		st := core.Measure(tpp, s)
-		fmt.Printf("%-40s %10d %12.4f %12.4f\n",
-			fmt.Sprintf("2-paths hash (n=%d, k=%d)", np, k),
-			st.MaxReducerLoad, st.ReplicationRate,
-			subgraph.TwoPathLowerBound(np, float64(st.MaxReducerLoad)))
+		measured(fmt.Sprintf("2-paths hash (n=%d, k=%d)", np, k),
+			st.MaxReducerLoad, st.ReplicationRate, subgraph.TwoPathRecipe(np), tpp.NumInputs(), tpp.NumOutputs())
 	}
 
 	// Chain join via optimized Shares, measured on the engine.
@@ -143,21 +157,24 @@ func runTable2() {
 	if err != nil {
 		panic(err)
 	}
-	_, jm, err := sh.Run(mr.Config{})
+	out, jm, err := sh.Run(mr.Config{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%-40s %10d %12.4f %12.4f\n",
-		fmt.Sprintf("Chain join Shares N=3 (%s)", sh.Describe()),
-		jm.MaxReducerInput, jm.ReplicationRate(),
-		join.ChainLowerBound(8, 3, float64(jm.MaxReducerInput)))
+	inputs := 0
+	for _, rel := range rels {
+		inputs += rel.Size()
+	}
+	measured(fmt.Sprintf("Chain join Shares N=3 (%s)", sh.Describe()),
+		int(jm.MaxReducerInput), jm.ReplicationRate(), join.ChainRecipe(8, 3), inputs, out.Size())
 
-	// Star join: paper's closed form vs shares prediction.
+	// Star join: the paper's closed-form Shares rate, not a measurement.
 	f, d0, nd := 1e5, 1e3, 3
 	pReducers := 64.0
-	fmt.Printf("%-40s %10s %12.4f %12s\n",
-		fmt.Sprintf("Star join N=%d (f=%.0g, d0=%.0g, p=%.0f)", nd, f, d0, pReducers),
-		"-", join.StarUpperBound(f, d0, nd, pReducers), "formula")
+	rows = append(rows, table2Row{
+		name: fmt.Sprintf("Star join N=%d (f=%.0g, d0=%.0g, p=%.0f)", nd, f, d0, pReducers),
+		r:    join.StarUpperBound(f, d0, nd, pReducers),
+	})
 
 	// MatMul one-phase.
 	mn := 16
@@ -168,9 +185,23 @@ func runTable2() {
 			panic(err)
 		}
 		st := core.Measure(mp, schema)
-		fmt.Printf("%-40s %10d %12.4f %12.4f\n",
-			fmt.Sprintf("MatMul 1-phase (n=%d, s=%d)", mn, s),
-			st.MaxReducerLoad, st.ReplicationRate,
-			matmul.LowerBound(mn, float64(st.MaxReducerLoad)))
+		measured(fmt.Sprintf("MatMul 1-phase (n=%d, s=%d)", mn, s),
+			st.MaxReducerLoad, st.ReplicationRate, matmul.Recipe(mn), mp.NumInputs(), mp.NumOutputs())
 	}
+	return rows
+}
+
+// runTable2 reprints Table 2 with *measured* replication rates, each
+// next to the recipe's exact lower bound for its instance and q.
+func runTable2() {
+	fmt.Println("Table 2 — measured upper bounds on replication rate")
+	fmt.Printf("%-40s %10s %12s %14s\n", "algorithm", "q", "r measured", "r lower bound")
+	for _, row := range table2Rows() {
+		if !row.hasBound {
+			fmt.Printf("%-40s %10s %12.4f %14s\n", row.name, "-", row.r, "upper bound")
+			continue
+		}
+		fmt.Printf("%-40s %10d %12.4f %14.4f\n", row.name, row.q, row.r, row.bound)
+	}
+	fmt.Println("(upper bound: the star join's r is the paper's closed-form Shares rate, not measured)")
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/relation"
 )
@@ -119,6 +120,22 @@ func GeneralArityLowerBound(n float64, m, alpha, s int, q float64) float64 {
 // (m = N+1, ρ = (N+1)/2 for odd N): r ≥ (n/√q)^{N-1} (Section 5.5.2).
 func ChainLowerBound(n float64, numRels int, q float64) float64 {
 	return math.Pow(n/math.Sqrt(q), float64(numRels-1))
+}
+
+// ChainRecipe is the Section 2.4 recipe for a chain of numRels binary
+// relations over a domain of n values, all relations full: |I| =
+// numRels·n², |O| = n^{numRels+1}. The c = ⌊numRels/2⌋+1 relations R1,
+// R3, R5, … (and R_N when N is even) cover every attribute, so each
+// output is fixed by one tuple of each, and a reducer holding q tuples
+// covers at most the product of c sizes summing to q: g(q) = (q/c)^c.
+func ChainRecipe(n float64, numRels int) core.Recipe {
+	c := float64(numRels/2 + 1)
+	return core.Recipe{
+		ProblemName: fmt.Sprintf("chain-join(N=%d, n=%g)", numRels, n),
+		G:           func(q float64) float64 { return math.Pow(q/c, c) },
+		NumInputs:   float64(numRels) * n * n,
+		NumOutputs:  math.Pow(n, float64(numRels+1)),
+	}
 }
 
 // StarUpperBound is the Section 5.5.2 replication rate of the Shares

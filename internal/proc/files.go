@@ -6,6 +6,7 @@
 package proc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -182,28 +183,21 @@ func readManifest(fs runfile.FS, path string) ([]manifestEntry, error) {
 		return nil, fmt.Errorf("proc: reading manifest %s: %w", path, err)
 	}
 	var entries []manifestEntry
-	for len(data) > 0 {
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // torn final line: the commit never completed
+	for {
+		line, rest, ok := bytes.Cut(data, []byte{'\n'})
+		if !ok {
+			return entries, nil // torn final line: the commit never completed
 		}
 		var e manifestEntry
-		if err := json.Unmarshal(data[:nl], &e); err != nil {
+		if err := json.Unmarshal(line, &e); err != nil {
 			// A malformed complete line is corruption, not a torn tail:
 			// stop replaying here but keep what already parsed — the
 			// entries before it were each committed atomically.
-			break
+			return entries, nil
 		}
 		entries = append(entries, e)
-		data = data[nl+1:]
+		data = rest
 	}
-	return entries, nil
 }
 
 // validateSection reopens one committed section and proves it readable

@@ -67,9 +67,20 @@ type TaskWriter[K comparable, V any] struct {
 	body      []int64
 	index     []int64
 
-	runs     []sealedRun[K, V] // the attempt's runs, in seal order
-	resident int               // pairs this attempt holds in memory
-	freeVs   [][]V             // recycled value-slice backing arrays
+	runs   []sealedRun[K, V] // the attempt's runs, in seal order
+	freeVs [][]V             // recycled value-slice backing arrays
+
+	// held counts the pairs this attempt holds in memory. Only the
+	// writer adds to it; the shuffle reads it under residentMu.
+	held paddedCount
+}
+
+// paddedCount is an atomic counter alone on its cache line, so one
+// writer's adds never move a line another writer touches.
+type paddedCount struct {
+	_ [64]byte
+	atomic.Int64
+	_ [56]byte
 }
 
 // sealedRun is one run a task attempt sealed for one partition: on
@@ -92,8 +103,8 @@ func (s *Shuffle[K, V]) TaskWriters(n int) []*TaskWriter[K, V] {
 	if b := s.opts.MemoryBudget; b > 0 {
 		s.threshold = max(b/n, 1)
 	}
-	s.writers = make([]*TaskWriter[K, V], n)
-	for i := range s.writers {
+	writers := make([]*TaskWriter[K, V], n)
+	for i := range writers {
 		w := &TaskWriter[K, V]{
 			s:         s,
 			lane:      s.opts.Recorder.Lane(obs.LaneWorker, i),
@@ -109,9 +120,12 @@ func (s *Shuffle[K, V]) TaskWriters(n int) []*TaskWriter[K, V] {
 		if s.opts.SpillDir != "" && s.sealSink == nil {
 			w.spool = &spool[K, V]{s: s}
 		}
-		s.writers[i] = w
+		writers[i] = w
 	}
-	return s.writers
+	s.residentMu.Lock()
+	s.writers = writers
+	s.residentMu.Unlock()
+	return writers
 }
 
 // Begin starts one attempt of a map task on the writer.
@@ -156,8 +170,7 @@ func (w *TaskWriter[K, V]) Emit(k K, v V) {
 	}
 	live[k] = append(vs, v)
 	w.livePairs[p]++
-	w.resident++
-	w.s.addResident(1)
+	w.held.Add(1)
 	if t := w.s.threshold; t > 0 && w.livePairs[p] >= t {
 		w.err = w.seal(p, false)
 	}
@@ -245,10 +258,18 @@ func (w *TaskWriter[K, V]) seal(p int, tail bool) (err error) {
 	return nil
 }
 
-// release drops n pairs from the writer's resident count.
+// release drops n pairs from the writer's count. The shuffle's
+// resident total falls here, so its peak is taken first, under the
+// lock every decrease holds.
 func (w *TaskWriter[K, V]) release(n int) {
-	w.resident -= n
-	w.s.addResident(-n)
+	if n == 0 {
+		return
+	}
+	s := w.s
+	s.residentMu.Lock()
+	s.notePeakLocked()
+	w.held.Add(int64(-n))
+	s.residentMu.Unlock()
 }
 
 // recycleLive clears partition p's live run in place — keeping its
@@ -297,7 +318,14 @@ func (w *TaskWriter[K, V]) Commit() error {
 	}
 	clear(w.runs)
 	w.runs = w.runs[:0]
-	w.resident = 0 // committed in-memory runs now belong to their partitions
+	// Committed in-memory runs now belong to their partitions: the total
+	// is unchanged, but the move must not be seen half done.
+	if n := w.held.Load(); n > 0 {
+		s.residentMu.Lock()
+		s.committedResident += n
+		w.held.Store(0)
+		s.residentMu.Unlock()
+	}
 	// Mark the task committed only after every partition holds its runs:
 	// compaction treats runs around a committed task as adjacent.
 	s.commitMu.Lock()
@@ -360,7 +388,7 @@ func (w *TaskWriter[K, V]) Abort() {
 	}
 	clear(w.runs)
 	w.runs = w.runs[:0]
-	w.release(w.resident)
+	w.release(int(w.held.Load()))
 	w.lane.Instant(obs.OpFenceAbort, int64(w.task), int64(w.attempt))
 }
 
@@ -380,7 +408,11 @@ func (s *Shuffle[K, V]) Finish() error {
 			}
 		}
 	}
+	// The writers' counts leave the total with them.
+	s.residentMu.Lock()
+	s.notePeakLocked()
 	s.writers = nil
+	s.residentMu.Unlock()
 	// With every task committed nothing can land between a partition's
 	// in-memory runs, and one sorted run reads without a merge.
 	var wg sync.WaitGroup

@@ -236,11 +236,18 @@ type Shuffle[K comparable, V any] struct {
 	bytesReclaimed atomic.Int64 // spill-file bytes deleted mid-round (rotation, compaction)
 	sealNs         atomic.Int64 // wall ns task writers spent sealing
 
-	// resident counts the pairs currently held in shuffle memory (task
-	// writers' live runs and in-memory sealed runs); peakResident is its
-	// whole-round high-water mark.
-	resident     atomic.Int64
-	peakResident atomic.Int64
+	// Residency: the pairs held in shuffle memory are every task
+	// writer's own count (TaskWriter.held) plus committedResident, the
+	// committed in-memory runs. Emits only grow a writer's count; every
+	// decrease of the total — a seal or combine release, an Abort, Finish
+	// dropping the writers — takes residentMu and sums the total into
+	// peakResident first. The total can only stop growing at a decrease,
+	// so the peak is its exact high-water mark. The Commit hand-off of a
+	// writer's count to committedResident takes the lock too, so no sum
+	// sees the move half done.
+	residentMu        sync.Mutex
+	committedResident int64
+	peakResident      int64
 
 	statsMu   sync.Mutex
 	statsMemo *Stats // memoized Stats, invalidated by every run change
@@ -324,26 +331,41 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 	return s
 }
 
-// addResident adjusts the shuffle's in-memory pair count, updating the
-// whole-round peak on growth.
-func (s *Shuffle[K, V]) addResident(n int) {
-	cur := s.resident.Add(int64(n))
-	if n <= 0 {
-		return
+// residentLocked is the number of pairs currently held in shuffle
+// memory. s.residentMu must be held.
+func (s *Shuffle[K, V]) residentLocked() int64 {
+	n := s.committedResident
+	for _, w := range s.writers {
+		n += w.held.Load()
 	}
-	for {
-		peak := s.peakResident.Load()
-		if cur <= peak || s.peakResident.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
+	return n
+}
+
+// notePeakLocked raises the peak to the current total. s.residentMu
+// must be held, so no decrease runs concurrently: writers' counts only
+// grow while the sum is taken, and the sum is the total at an instant
+// of an ordering of the same emits that is legal for every writer.
+func (s *Shuffle[K, V]) notePeakLocked() {
+	s.peakResident = max(s.peakResident, s.residentLocked())
 }
 
 // ResidentPairs is the number of pairs currently held in shuffle
-// memory (live runs and in-memory sealed runs); PeakResidentPairs is
-// its whole-round high-water mark.
-func (s *Shuffle[K, V]) ResidentPairs() int64     { return s.resident.Load() }
-func (s *Shuffle[K, V]) PeakResidentPairs() int64 { return s.peakResident.Load() }
+// memory (live runs and in-memory sealed runs).
+func (s *Shuffle[K, V]) ResidentPairs() int64 {
+	s.residentMu.Lock()
+	defer s.residentMu.Unlock()
+	return s.residentLocked()
+}
+
+// PeakResidentPairs is the whole-round high-water mark of
+// ResidentPairs: the largest total any release saw, or the current
+// total if that is larger.
+func (s *Shuffle[K, V]) PeakResidentPairs() int64 {
+	s.residentMu.Lock()
+	defer s.residentMu.Unlock()
+	s.notePeakLocked()
+	return s.peakResident
+}
 
 // SealNs is the wall time task writers spent sealing runs — combining,
 // sorting, encoding and writing — all of it overlapped with mapping.
@@ -576,7 +598,7 @@ func (s *Shuffle[K, V]) Stats() (Stats, error) {
 		st.GroupSizeLog2 = append([]int64(nil), st.GroupSizeLog2...)
 		st.DiskBytesRead = s.diskRead.Load()
 		st.BytesReclaimed = s.bytesReclaimed.Load()
-		st.PeakResidentPairs = s.peakResident.Load()
+		st.PeakResidentPairs = s.PeakResidentPairs()
 		return st, nil
 	}
 	s.statsMu.Unlock()
@@ -666,7 +688,7 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 	}
 	st.DiskBytesRead = s.diskRead.Load()
 	st.BytesReclaimed = s.bytesReclaimed.Load()
-	st.PeakResidentPairs = s.peakResident.Load()
+	st.PeakResidentPairs = s.PeakResidentPairs()
 	return st, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -615,4 +616,52 @@ func BenchmarkMergeScaling(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkEmitParallel measures the emit path under concurrency:
+// GOMAXPROCS task writers emit int keys into one in-memory shuffle at
+// once, one task each, released together. ns/emit is the wall time of
+// the emit phase per pair across all writers; the commits and the
+// shuffle's set-up are outside it. Per-emit work shared between writers
+// (a counter every writer updates, say) shows up here as contention.
+func BenchmarkEmitParallel(b *testing.B) {
+	const (
+		perWriter = 1 << 16
+		keys      = 1 << 10
+	)
+	writers := runtime.GOMAXPROCS(0)
+	var emitNs int64
+	for i := 0; i < b.N; i++ {
+		s := New[int, int](Options{})
+		tws := s.TaskWriters(writers)
+		start, commit := make(chan struct{}), make(chan struct{})
+		var emitted, done sync.WaitGroup
+		for w, tw := range tws {
+			emitted.Add(1)
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				<-start
+				tw.Begin(w, 0)
+				for j := 0; j < perWriter; j++ {
+					tw.Emit(w*keys+j%keys, j)
+				}
+				emitted.Done()
+				<-commit
+				if err := tw.Commit(); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		t0 := time.Now()
+		close(start)
+		emitted.Wait()
+		emitNs += time.Since(t0).Nanoseconds()
+		close(commit)
+		done.Wait()
+		if err := s.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(emitNs)/float64(b.N*writers*perWriter), "ns/emit")
 }
