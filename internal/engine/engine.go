@@ -98,10 +98,10 @@ type Config struct {
 	MaxRetries    int
 
 	// ReduceSplitPairs, when positive, splits heavy reduce partitions'
-	// merges into class-aligned key ranges of roughly this many pairs —
-	// planned from the resident run indexes, never splitting a key
-	// group — and LPT-schedules the range units, not whole partitions,
-	// onto the reduce workers. Disjoint ranges of one partition then
+	// merges into key ranges of roughly this many pairs — planned from
+	// the resident run indexes and cut between distinct keys, never
+	// splitting a key group — and LPT-schedules the range units, not
+	// whole partitions, onto the reduce workers. Disjoint ranges of one partition then
 	// merge and reduce concurrently over a shared read surface (one set
 	// of spool handles and mmaps per partition), and the output is
 	// byte-identical to the unsplit round: ranges reassemble in key
@@ -291,6 +291,9 @@ var errInjected = errors.New("engine: injected task failure")
 // still carries the metrics accumulated up to the failure point.
 func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
 	res.Metrics.MapInputs = int64(len(inputs))
+	if err := shuffle.CheckKeyType[K](); err != nil {
+		return res, fmt.Errorf("engine: round %q: %w", r.Name, err)
+	}
 	cfg := r.Config
 	if cfg.SpillDir != "" && cfg.MemoryBudget <= 0 {
 		return res, fmt.Errorf(
@@ -594,9 +597,10 @@ func (pr *partReader[K, V]) release() error {
 
 // runReducePhase schedules reduce units onto workers with the LPT
 // balancer — whole non-empty partitions by default; with
-// Config.ReduceSplitPairs, heavy partitions split into class-aligned
-// key-range units weighted by indexed pair load — reduces each unit's
-// keys in sorted order, and assembles the outputs in global key order.
+// Config.ReduceSplitPairs, heavy partitions split into key-range units
+// cut between distinct keys and weighted by indexed pair load —
+// reduces each unit's keys in sorted order, and assembles the outputs
+// in global key order.
 // Range units of one partition reassemble in range order first, so the
 // output is byte-identical to the unsplit round.
 func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O]) (Result[K, O], error) {
@@ -606,7 +610,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 
 	// Plan key-range splits for partitions heavier than the target.
 	// Planning is a counting merge over the resident indexes — no disk
-	// read — and never splits an order-equivalence class.
+	// read — and cuts only between distinct keys.
 	ranges := make([][]shuffle.KeyRange[K], P)
 	if sp := cfg.ReduceSplitPairs; sp > 0 {
 		maxRanges := cfg.ReduceRangeConcurrency
@@ -856,7 +860,3 @@ func attemptReduceRange[I any, K comparable, V, O any](r Round[I, K, V, O], rr *
 	}
 	return pr, nil
 }
-
-// SortKeys re-exports the shuffle's canonical key ordering for callers
-// assembling their own output.
-func SortKeys[K comparable](keys []K) { shuffle.SortKeys(keys) }

@@ -100,7 +100,7 @@ type Config struct {
 	// disk and live runs instead of materializing the partition.
 	// SpillDir without a budget is a configuration error, and spilling
 	// requires a key type whose equality survives an encode/decode
-	// round trip (no pointer, interface or channel fields).
+	// round trip (no unexported struct fields).
 	SpillDir string
 
 	// CompactionConcurrency sizes the background worker pool that
@@ -120,8 +120,9 @@ type Config struct {
 	ReduceWorkersHint int
 
 	// ReduceSplitPairs, when positive, splits reduce partitions heavier
-	// than this many pairs into class-aligned key-range units that merge
-	// and reduce concurrently (planned from the resident run indexes).
+	// than this many pairs into key-range units, cut between distinct
+	// keys, that merge and reduce concurrently (planned from the
+	// resident run indexes).
 	// Outputs are byte-identical to the unsplit round; only scheduling
 	// granularity changes. ReduceRangeConcurrency caps how many ranges
 	// one partition may split into; zero selects the worker count. Both
@@ -443,11 +444,13 @@ var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximu
 // Run executes the job over inputs and returns the reduce outputs together
 // with the round's metrics. Output order is deterministic: reduce keys are
 // processed in a stable sorted order (numeric for the number kinds, byte
-// order for strings, field order for named scalars, structs and arrays,
-// formatted order for keys holding pointers, interfaces or channels —
-// see shuffle.SortKeys), and within a key the
-// outputs appear in emission order. Execution happens on the partitioned
-// shuffle executor; the returned Metrics carry its per-partition profile.
+// order for strings, field order for named scalars, structs and arrays —
+// see shuffle.SortKeys), and within a key the outputs appear in emission
+// order. A key type holding a pointer, interface or channel has no such
+// order: Run refuses it, in every mode, before any work starts, with
+// shuffle.CheckKeyType's error naming the type. Execution happens on the
+// partitioned shuffle executor; the returned Metrics carry its
+// per-partition profile.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 	if j.Config.ProcMode {
 		return j.runProc(inputs)
@@ -546,9 +549,7 @@ func (j *Job[I, K, V, O]) recordWorkerSkew(keys []K, loads []int, met *Metrics) 
 	}
 }
 
-// defaultPartition hashes the key with the runtime's typed maphash fast
-// path (no formatting, boxing, or reflection — unlike the seed's
-// fmt.Sprint + FNV-1a of the formatted key).
+// defaultPartition routes k to one of nw logical reduce workers.
 func defaultPartition[K comparable](k K, nw int) int {
 	return int(shuffle.NewHasher[K]().Hash(k) % uint64(nw))
 }
@@ -556,7 +557,7 @@ func defaultPartition[K comparable](k K, nw int) int {
 // sortedKeys returns the map's keys in the runtime's canonical
 // deterministic order: typed fast paths for the number kinds and
 // strings, the compiled field order for named scalars, structs and
-// arrays, format-once ordering for the rest (see shuffle.SortKeys).
+// arrays (see shuffle.SortKeys).
 func sortedKeys[K comparable, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

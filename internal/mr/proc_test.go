@@ -18,6 +18,7 @@ func TestMain(m *testing.M) {
 	RegisterProc(procWordcountNoCombine)
 	RegisterProc(procSplitting)
 	RegisterProc(procNaNKey)
+	RegisterProc(procPtrKey)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

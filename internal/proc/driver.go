@@ -608,6 +608,9 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	if !ok {
 		return nil, met, fmt.Errorf("proc: job %q is registered with different types than Run was called with", name)
 	}
+	if err := shuffle.CheckKeyType[K](); err != nil {
+		return nil, met, fmt.Errorf("proc: job %q: %w", name, err)
+	}
 	if err := runfile.CanRoundTripIdentity[K](); err != nil {
 		return nil, met, fmt.Errorf("proc: key type unusable across processes: %w", err)
 	}

@@ -133,10 +133,10 @@ type Options struct {
 	// receives more values (the paper's q limit).
 	MaxReducerInput int
 	// ReduceSplitPairs, when positive, has each reduce worker split its
-	// partition's merge into class-aligned key ranges of roughly this
-	// many pairs and run them concurrently; output files stay
-	// byte-identical to the unsplit merge. ReduceRangeConcurrency caps
-	// the ranges per partition (zero selects GOMAXPROCS).
+	// partition's merge into key ranges of roughly this many pairs, cut
+	// between distinct keys, and run them concurrently; output files
+	// stay byte-identical to the unsplit merge. ReduceRangeConcurrency
+	// caps the ranges per partition (zero selects GOMAXPROCS).
 	ReduceSplitPairs       int
 	ReduceRangeConcurrency int
 	// Timeout bounds the whole run. Zero means 2 minutes.

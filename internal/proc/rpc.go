@@ -67,7 +67,8 @@ type Task struct {
 	// Reduce fields: the committed input sections in map-task order.
 	// ReduceSplitPairs and ReduceRangeConcurrency carry the driver's
 	// range-split knobs: a positive split target has the worker cut the
-	// merge into class-aligned key ranges it runs concurrently.
+	// merge into key ranges, cut between distinct keys, that it runs
+	// concurrently.
 	Sections               []Section
 	MaxReducerInput        int
 	ReduceSplitPairs       int

@@ -506,14 +506,14 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 // memory bound is the merge fan-in plus the largest single group, not
 // the partition size.
 //
-// With Task.ReduceSplitPairs set, the worker plans class-aligned key
-// ranges from the adopted indexes (PlanReduceRanges, no value read)
-// and runs the range merges concurrently over the shared read surface,
-// then concatenates their groups in range order, so the output file is
-// byte-identical to the unsplit merge. PeakResident stays the largest
-// single decoded group either way, but a split attempt holds up to one
-// group per concurrent range resident at once — the documented
-// residency multiplier of range concurrency.
+// With Task.ReduceSplitPairs set, the worker plans key ranges, cut
+// between distinct keys, from the adopted indexes (PlanReduceRanges,
+// no value read) and runs the range merges concurrently over the
+// shared read surface, then concatenates their groups in range order,
+// so the output file is byte-identical to the unsplit merge.
+// PeakResident stays the largest single decoded group either way, but
+// a split attempt holds up to one group per concurrent range resident
+// at once — the documented residency multiplier of range concurrency.
 func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceReport, error) {
 	ws.crashPoint("reduce", t.ID, nil)
 	sh := shuffle.New[K, V](shuffle.Options{Partitions: 1})

@@ -8,8 +8,7 @@ import (
 
 // TestCompactionWithCollidingFormattedKeys: distinct struct keys whose
 // fmt.Sprint forms collide, pushed through compaction at the run cap.
-// The compiled key order separates them (only the formatted fallback,
-// which cannot spill, would tie them), so compaction must fold each
+// The compiled key order separates them, so compaction must fold each
 // key's groups across runs and copy every group correctly.
 func TestCompactionWithCollidingFormattedKeys(t *testing.T) {
 	type k2 struct{ A, B string }

@@ -153,7 +153,7 @@ func (w *TaskWriter[K, V]) Emit(k K, v V) {
 		return
 	}
 	// A comparable value differs from itself exactly when it holds a
-	// NaN: directly, in a field or element, or behind an interface.
+	// NaN, directly or in a field or element.
 	if k != k {
 		w.err = fmt.Errorf("%w: map task %d emitted key %v", ErrNaNKey, w.task, k)
 		return

@@ -690,26 +690,15 @@ func TestFinishFoldExactSize(t *testing.T) {
 	}
 }
 
-// TestEmitRejectsNaNKeys: a key that is, holds or wraps a NaN fails its
-// task at Commit with ErrNaNKey, whatever its shape; -0 and ±Inf keys
-// are ordinary.
+// TestEmitRejectsNaNKeys: a key that is or holds a NaN fails its task
+// at Commit with ErrNaNKey, whatever its shape; -0 and ±Inf keys are
+// ordinary.
 func TestEmitRejectsNaNKeys(t *testing.T) {
 	nan := math.NaN()
-	check := func(name string, bad bool, commit func() error) {
+	check := func(name string, bad bool, err error) {
 		t.Helper()
-		if err := commit(); errors.Is(err, ErrNaNKey) != bad {
+		if errors.Is(err, ErrNaNKey) != bad {
 			t.Errorf("%s: Commit error %v, want ErrNaNKey: %v", name, err, bad)
-		}
-	}
-	emitOne := func(k any) func() error {
-		return func() error {
-			s := New[any, int](Options{Partitions: 2})
-			tw := s.TaskWriters(1)[0]
-			tw.Begin(3, 0)
-			tw.Emit(1, 1)
-			tw.Emit(k, 2)
-			err := tw.Commit()
-			return cmp.Or(err, s.Finish(), s.Close())
 		}
 	}
 	type inner struct {
@@ -717,16 +706,27 @@ func TestEmitRejectsNaNKeys(t *testing.T) {
 		B string
 	}
 	type outer struct {
-		I   int
-		In  inner
-		Any any
+		I  int
+		In inner
 	}
-	check("float64", true, emitOne(nan))
-	check("float32", true, emitOne(float32(nan)))
-	check("complex", true, emitOne(complex(0, nan)))
-	check("array element", true, emitOne([2]float64{1, nan}))
-	check("nested field", true, emitOne(outer{In: inner{A: [2]float32{0, float32(nan)}}}))
-	check("behind an interface", true, emitOne(outer{Any: nan}))
-	check("-0", false, emitOne(math.Copysign(0, -1)))
-	check("+Inf", false, emitOne(outer{Any: math.Inf(1)}))
+	check("float64", true, emitOneKey(nan))
+	check("float32", true, emitOneKey(float32(nan)))
+	check("complex", true, emitOneKey(complex(0, nan)))
+	check("array element", true, emitOneKey([2]float64{1, nan}))
+	check("nested field", true, emitOneKey(outer{In: inner{A: [2]float32{0, float32(nan)}}}))
+	check("-0", false, emitOneKey(math.Copysign(0, -1)))
+	check("+Inf", false, emitOneKey(outer{In: inner{A: [2]float32{float32(math.Inf(1))}}}))
+}
+
+// emitOneKey runs one task that emits the zero key and then k through a
+// fresh shuffle over K, returning the first error of the round.
+func emitOneKey[K comparable](k K) error {
+	s := New[K, int](Options{Partitions: 2})
+	tw := s.TaskWriters(1)[0]
+	tw.Begin(3, 0)
+	var zero K
+	tw.Emit(zero, 1)
+	tw.Emit(k, 2)
+	err := tw.Commit()
+	return cmp.Or(err, s.Finish(), s.Close())
 }

@@ -17,10 +17,11 @@
 //     replays them with unsafe loads. Floats compare as cmp.Compare
 //     does (NaN first, -0 equal to +0), so the order is a strict weak
 //     order; complex numbers compare by real, then imaginary part.
-//   - Keys holding a pointer, interface or channel anywhere fall back
-//     to the order of their fmt.Sprint form. Distinct keys can format
-//     alike, so the merge and the range planner treat the fallback's
-//     ties as order-equivalence classes. None of these types can spill.
+//   - A key type holding a pointer, interface or channel anywhere has
+//     no canonical order and is refused before a job starts
+//     (CheckKeyType). Since NaN keys fail at Emit, two admitted keys
+//     compare equal exactly when they are ==, so every key is its own
+//     order class.
 package shuffle
 
 import (
@@ -60,12 +61,12 @@ type keyOrder struct {
 }
 
 // keyOrders caches one order per type; a stored nil records that the
-// type was inspected and takes the formatted fallback.
+// type was inspected and has no order.
 var keyOrders sync.Map // reflect.Type -> *keyOrder
 
-// orderOf returns K's compiled order, or nil when K takes the
-// formatted fallback. The first call per type pays the reflection
-// walk; later calls are one cache load.
+// orderOf returns K's compiled order, or nil when K has none. The
+// first call per type pays the reflection walk; later calls are one
+// cache load.
 func orderOf[K any]() *keyOrder {
 	t := reflect.TypeFor[K]()
 	if o, ok := keyOrders.Load(t); ok {
@@ -74,6 +75,17 @@ func orderOf[K any]() *keyOrder {
 	o := compileOrder(t)
 	keyOrders.Store(t, o)
 	return o
+}
+
+// CheckKeyType returns nil when K has a canonical order, and otherwise
+// an error naming K. Every entry point that runs a job over keys of
+// type K calls it before any work starts; New panics with the same
+// error.
+func CheckKeyType[K comparable]() error {
+	if orderOf[K]() != nil {
+		return nil
+	}
+	return fmt.Errorf("shuffle: key type %v has no canonical order: it holds a pointer, interface or channel", reflect.TypeFor[K]())
 }
 
 func compileOrder(t reflect.Type) *keyOrder {
@@ -211,11 +223,9 @@ func compareScalar(k reflect.Kind, a, b unsafe.Pointer) int {
 
 // SortKeys sorts keys in the package's canonical deterministic order:
 // numeric order for the built-in integer and float kinds and byte order
-// for strings (slices.Sort on the concrete type), the compiled
+// for strings (slices.Sort on the concrete type), and the compiled
 // lexicographic order for named scalars, structs and arrays (see the
-// file comment), and for the remaining types — those holding a
-// pointer, interface or channel — order of the formatted value,
-// computed once per key.
+// file comment). It panics for a key type CheckKeyType refuses.
 func SortKeys[K comparable](keys []K) {
 	switch ks := any(keys).(type) {
 	case []int:
@@ -247,27 +257,16 @@ func SortKeys[K comparable](keys []K) {
 	case []string:
 		slices.Sort(ks)
 	default:
-		if compare := nativeCompare[K](); compare != nil {
-			slices.SortFunc(keys, compare)
-			return
-		}
-		fm := make(map[K]string, len(keys))
-		for _, k := range keys {
-			if _, ok := fm[k]; !ok {
-				fm[k] = fmt.Sprint(k)
-			}
-		}
-		slices.SortFunc(keys, func(a, b K) int { return strings.Compare(fm[a], fm[b]) })
+		slices.SortFunc(keys, nativeCompare[K]())
 	}
 }
 
-// nativeCompare returns the typed three-way order underlying SortKeys
-// — the direct comparison for the built-in number kinds and strings,
-// the compiled order for every other orderable type — or nil for the
-// formatted-fallback types, which the merge then orders by cached
-// formatted keys. It must agree with the order runs were written in,
-// i.e. with SortKeys; the test TestNativeCompareAgreesWithSortKeys pins
-// that invariant.
+// nativeCompare returns the typed three-way order underlying SortKeys:
+// the direct comparison for the built-in number kinds and strings, the
+// compiled order for every other orderable type. It panics for a key
+// type CheckKeyType refuses. It must agree with the order runs were
+// written in, i.e. with SortKeys; the test
+// TestNativeCompareAgreesWithSortKeys pins that invariant.
 func nativeCompare[K comparable]() func(a, b K) int {
 	var zero K
 	switch any(zero).(type) {
@@ -300,8 +299,9 @@ func nativeCompare[K comparable]() func(a, b K) int {
 	case string:
 		return func(a, b K) int { return strings.Compare(any(a).(string), any(b).(string)) }
 	}
-	if o := orderOf[K](); o != nil {
-		return func(a, b K) int { return o.compare(unsafe.Pointer(&a), unsafe.Pointer(&b)) }
+	o := orderOf[K]()
+	if o == nil {
+		panic(CheckKeyType[K]())
 	}
-	return nil
+	return func(a, b K) int { return o.compare(unsafe.Pointer(&a), unsafe.Pointer(&b)) }
 }

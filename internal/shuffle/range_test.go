@@ -144,64 +144,8 @@ func TestPlanReduceRangesEquivalence(t *testing.T) {
 	}
 }
 
-// TestRangeSplitCollidingKeys pins the fallback-comparator tie case:
-// distinct keys whose fmt.Sprint forms collide are one
-// order-equivalence class — a split boundary must never land between
-// them, they stay two separate ==-membership groups, and the split
-// read still reproduces the unsplit merge. Interface fields keep the
-// key type on the formatted fallback, which also means it cannot
-// spill: the sealed runs stay in memory.
-func TestRangeSplitCollidingKeys(t *testing.T) {
-	type k2 struct{ A, B any }
-	colliders := []k2{{"a b", "c"}, {"a", "b c"}} // both format as "{a b c}"
-	s := New[k2, int](Options{Partitions: 2, MemoryBudget: 5})
-	defer s.Close()
-	s.SetPartitioner(func(k2) int { return 0 })
-	var pairs []Pair[k2, int]
-	// The colliding class carries most of the load, so a naive planner
-	// chasing the target would want to cut inside it.
-	for i := 0; i < 120; i++ {
-		pairs = append(pairs, Pair[k2, int]{colliders[i%2], i})
-	}
-	for i := 0; i < 30; i++ {
-		pairs = append(pairs, Pair[k2, int]{k2{"x", fmt.Sprint(i % 5)}, i}, Pair[k2, int]{k2{"zz", fmt.Sprint(i % 3)}, i})
-	}
-	writeTask(t, s, pairs...)
-	p := s.Partition(0)
-	ref := rangeRef(t, p)
-	ranges := p.PlanReduceRanges(20, 8)
-	if ranges == nil {
-		t.Fatal("no split planned; test exercises nothing")
-	}
-	checkRangeInvariants(t, ranges, ref)
-	// Both colliders must fall in the same range.
-	owner := -1
-	for i, r := range ranges {
-		if r.Contains(colliders[0]) {
-			owner = i
-		}
-	}
-	if owner < 0 || !ranges[owner].Contains(colliders[1]) {
-		t.Fatalf("colliding keys straddle ranges: %+v owns collider 0, collider 1 elsewhere", owner)
-	}
-	got := readRanges(t, p, ranges)
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("range-split read diverges from whole-partition merge on colliding keys")
-	}
-	// The colliders surfaced as two distinct groups inside one range.
-	seen := 0
-	for _, g := range got {
-		if g.Key == colliders[0] || g.Key == colliders[1] {
-			seen++
-		}
-	}
-	if seen != 2 {
-		t.Fatalf("colliding class surfaced %d groups, want 2", seen)
-	}
-}
-
 // TestPlanRangesFromCounts covers the planner behind PlanReduceRanges
-// and Clamp: class-aligned cuts over an aggregated (key, count)
+// and Clamp: cuts between distinct keys over an aggregated (key, count)
 // profile, and index windows that tile the key space.
 func TestPlanRangesFromCounts(t *testing.T) {
 	keys := []int{0, 1, 2, 3, 4, 5, 6, 7}

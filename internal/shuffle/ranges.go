@@ -1,15 +1,14 @@
 // Key-range splitting of the reduce merge: one partition's sorted key
-// space is cut into balanced, class-aligned ranges so disjoint slices
-// of the same partition can be merged and reduced concurrently.
+// space is cut into balanced ranges, between distinct keys, so disjoint
+// slices of the same partition can be merged and reduced concurrently.
 //
 // The plan comes entirely from the resident run indexes (a counting
 // merge — no disk read): PlanReduceRanges walks the partition's groups
-// in canonical order, accumulating pair counts, and closes a range
-// whenever the accumulated load passes the target *and* the next group
-// starts a new order-equivalence class. Boundaries land only at class
-// starts, so a key — including distinct keys the fallback comparator
-// cannot separate — never straddles two ranges, and the one-reducer-
-// per-group contract survives the split.
+// in canonical order, accumulating pair counts, and closes a range at
+// the next key once the accumulated load passes the target. Every
+// admitted key type orders distinct keys apart (see order.go), so a
+// key never straddles two ranges and the one-reducer-per-group
+// contract survives the split.
 //
 // RangeReader is the one read surface, split or not: it opens the
 // partition's spool files and run mappings once (openRunViews), and
@@ -32,9 +31,8 @@ import (
 
 // KeyRange is one planned slice of a partition's sorted key space:
 // [Lo, Hi) in canonical key order, where an unset bound (HasLo/HasHi
-// false) extends to the partition's edge. Bounds always sit on
-// order-equivalence-class starts: every key order-equal to Lo is
-// inside, every key order-equal to Hi is in the next range.
+// false) extends to the partition's edge. Lo is inside the range, Hi
+// is the first key of the next one.
 type KeyRange[K comparable] struct {
 	Lo    K
 	HasLo bool
@@ -44,24 +42,16 @@ type KeyRange[K comparable] struct {
 	// indexes — the weights range units are scheduled by.
 	Pairs int64
 	Keys  int64
-
-	// Cached formatted bounds for the fallback comparator, computed at
-	// plan time so clamping never re-formats them.
-	loFmt, hiFmt string
 }
 
 // Contains reports whether k falls in the range under the canonical
-// order (the comparator behind SortKeys). Keys order-equal to Lo are
-// inside; keys order-equal to Hi are not.
+// order (the comparator behind SortKeys).
 func (r KeyRange[K]) Contains(k K) bool {
-	if compare := nativeCompare[K](); compare != nil {
-		return (!r.HasLo || compare(k, r.Lo) >= 0) && (!r.HasHi || compare(k, r.Hi) < 0)
-	}
-	kf := fmt.Sprint(k)
-	return (!r.HasLo || kf >= r.loFmt) && (!r.HasHi || kf < r.hiFmt)
+	compare := nativeCompare[K]()
+	return (!r.HasLo || compare(k, r.Lo) >= 0) && (!r.HasHi || compare(k, r.Hi) < 0)
 }
 
-// PlanReduceRanges cuts the partition into class-aligned key ranges of
+// PlanReduceRanges cuts the partition into key ranges of
 // roughly targetPairs pairs each, weighted by the resident indexes'
 // per-group counts (a pure in-memory counting merge — no run file is
 // opened) and cut by PlanRangesFromCounts. maxRanges caps the cut; the
@@ -87,44 +77,27 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 }
 
 // PlanRangesFromCounts cuts a sorted distinct-key sequence with per-key
-// pair counts into class-aligned ranges of roughly targetPairs pairs: a
-// range closes once its load reaches the target, but only where the
-// next key starts a new order-equivalence class, so keys the fallback
-// comparator cannot separate stay together. keys must be in canonical
-// order (SortKeys). Returns nil when splitting is disabled or the
-// sequence fits a single range.
+// pair counts into ranges of roughly targetPairs pairs: a range closes
+// once its load reaches the target, and the next key opens the next
+// one. keys must be in canonical order (SortKeys). Returns nil when
+// splitting is disabled or the sequence fits a single range.
 func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs int64, maxRanges int) []KeyRange[K] {
 	if targetPairs <= 0 || maxRanges <= 1 || len(keys) == 0 {
 		return nil
 	}
-	compare := nativeCompare[K]()
 	var ranges []KeyRange[K]
 	var cur KeyRange[K]
 	var curPairs, curKeys int64
-	var prevFmt string
 	for i, k := range keys {
-		var kf string
-		if compare == nil {
-			kf = fmt.Sprint(k)
-		}
 		if i > 0 && curPairs >= targetPairs && len(ranges) < maxRanges-1 {
-			classStart := false
-			if compare != nil {
-				classStart = compare(keys[i-1], k) < 0
-			} else {
-				classStart = prevFmt < kf
-			}
-			if classStart {
-				cur.Hi, cur.HasHi, cur.hiFmt = k, true, kf
-				cur.Pairs, cur.Keys = curPairs, curKeys
-				ranges = append(ranges, cur)
-				cur = KeyRange[K]{Lo: k, HasLo: true, loFmt: kf}
-				curPairs, curKeys = 0, 0
-			}
+			cur.Hi, cur.HasHi = k, true
+			cur.Pairs, cur.Keys = curPairs, curKeys
+			ranges = append(ranges, cur)
+			cur = KeyRange[K]{Lo: k, HasLo: true}
+			curPairs, curKeys = 0, 0
 		}
 		curPairs += counts[i]
 		curKeys++
-		prevFmt = kf
 	}
 	if len(ranges) == 0 {
 		return nil
@@ -139,27 +112,16 @@ func (r KeyRange[K]) Clamp(keys []K) (lo, hi int) {
 	return clampRange(len(keys), func(i int) K { return keys[i] }, nativeCompare[K](), r)
 }
 
-// lowerBound returns the first i in [0, n) whose key (via keyAt) is not
-// below the bound under the canonical order — the clamp seek shared by
-// the typed and formatted-fallback comparators. boundFmt is the bound's
-// cached formatted form, used when compare is nil.
-func lowerBound[K comparable](n int, keyAt func(int) K, compare func(a, b K) int, bound K, boundFmt string) int {
-	if compare != nil {
-		return sort.Search(n, func(i int) bool { return compare(keyAt(i), bound) >= 0 })
-	}
-	return sort.Search(n, func(i int) bool { return !(fmt.Sprint(keyAt(i)) < boundFmt) })
-}
-
 // clampRange resolves a KeyRange to the [lo, hi) index window of a
 // sorted key sequence. The sequence must be sorted in canonical order
 // (it is: run indexes and sorted key slices are written that way).
 func clampRange[K comparable](n int, keyAt func(int) K, compare func(a, b K) int, r KeyRange[K]) (lo, hi int) {
 	lo, hi = 0, n
 	if r.HasLo {
-		lo = lowerBound(n, keyAt, compare, r.Lo, r.loFmt)
+		lo = sort.Search(n, func(i int) bool { return compare(keyAt(i), r.Lo) >= 0 })
 	}
 	if r.HasHi {
-		hi = lowerBound(n, keyAt, compare, r.Hi, r.hiFmt)
+		hi = sort.Search(n, func(i int) bool { return compare(keyAt(i), r.Hi) >= 0 })
 	}
 	if hi < lo {
 		hi = lo
@@ -243,7 +205,6 @@ func (rr *RangeReader[K, V]) Close() error {
 // concatenation of all planned ranges in order reproduces the
 // whole-partition merge exactly.
 func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, fn func(k K, vs []V) error) error {
-	fmtKeys := rr.compare == nil
 	var cursors []*groupCursor[K, V]
 	for i, dr := range rr.st.disk {
 		idx := dr.index
@@ -251,7 +212,7 @@ func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, 
 		if lo == hi {
 			continue
 		}
-		cursors = append(cursors, viewCursor[K, V](rr.views[i], i, fmtKeys, idx[lo:hi], &rr.s.diskRead))
+		cursors = append(cursors, viewCursor[K, V](rr.views[i], i, idx[lo:hi], &rr.s.diskRead))
 	}
 	base := len(rr.st.disk)
 	for i, run := range rr.mem {
@@ -261,7 +222,7 @@ func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, 
 			continue
 		}
 		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: base + i, fmtKeys: fmtKeys, memKeys: keys[lo:hi], memVals: run.vals[lo:hi],
+			runIdx: base + i, memKeys: keys[lo:hi], memVals: run.vals[lo:hi],
 		})
 	}
 	return mergeGroupCursors(cursors, rr.compare, true, reuseValues, func(k K, _ int, vs []V) error {

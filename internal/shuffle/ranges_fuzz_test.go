@@ -1,23 +1,26 @@
 package shuffle
 
 import (
-	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
-// FuzzPlanRangesFromCounts checks the range planner over arbitrary
-// (key, count) profiles of struct keys drawn from a tiny alphabet.
-// Their interface fields keep them on the formatted fallback, so
-// distinct keys often format alike and share an order-equivalence
-// class. Whatever it plans must be ordered and disjoint, cover every
-// key exactly once, never split a class, respect the range cap and the
-// profile's totals, and Clamp must agree with Contains.
+// FuzzPlanRangesFromCounts checks the range planner and Clamp over
+// arbitrary (key, count) profiles of struct keys drawn from a tiny
+// alphabet, so distinct keys often format alike ({"a b", "c"} and
+// {"a", "b c"} both print as {a b c}) yet each is its own group. The
+// plan must be ordered and disjoint, cover every key exactly once,
+// respect the range cap and the profile's totals, and Clamp must agree
+// with Contains. The keys are then dealt into 2–3 sorted runs, each key
+// into a random nonempty subset of them: every run's Clamp windows must
+// tile the run, and the union of a range's windows across the runs
+// must be exactly the range's keys, so no key straddles a cut.
 func FuzzPlanRangesFromCounts(f *testing.F) {
-	f.Add([]byte("a b c a b c z"), int64(3), uint8(4))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(1), uint8(2))
-	f.Add([]byte("  aa bb  ab ba"), int64(7), uint8(8))
-	f.Fuzz(func(t *testing.T, data []byte, target int64, maxRanges uint8) {
-		type k2 struct{ A, B any }
+	f.Add([]byte("a b c a b c z"), int64(3), uint8(4), uint64(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, int64(1), uint8(2), uint64(1))
+	f.Add([]byte("  aa bb  ab ba"), int64(7), uint8(8), uint64(7))
+	f.Fuzz(func(t *testing.T, data []byte, target int64, maxRanges uint8, split uint64) {
+		type k2 struct{ A, B string }
 		alphabet := []string{"", "a", "b", "a b", "b c", "c"}
 		counts := make(map[k2]int64)
 		for i := 0; i+1 < len(data); i += 2 {
@@ -72,13 +75,46 @@ func FuzzPlanRangesFromCounts(f *testing.F) {
 		if prevHi != len(keys) || pairs != total || nKeys != int64(len(keys)) {
 			t.Fatalf("ranges cover %d of %d keys, %d of %d pairs", prevHi, len(keys), pairs, total)
 		}
-		for j := 1; j < len(keys); j++ {
-			if fmt.Sprint(keys[j-1]) != fmt.Sprint(keys[j]) {
-				continue
+
+		// Deal the keys into sorted runs; every key lands in at least one.
+		rng := rand.New(rand.NewPCG(split, 0))
+		runs := make([][]k2, 2+split%2)
+		for _, k := range keys {
+			mask := 1 + rng.IntN(1<<len(runs)-1)
+			for r := range runs {
+				if mask&(1<<r) != 0 {
+					runs[r] = append(runs[r], k)
+				}
 			}
-			for ri, r := range ranges {
-				if r.Contains(keys[j-1]) != r.Contains(keys[j]) {
-					t.Fatalf("range %d splits the class of %v and %v", ri, keys[j-1], keys[j])
+		}
+		windows := make([]map[k2]bool, len(ranges))
+		for ri := range windows {
+			windows[ri] = make(map[k2]bool)
+		}
+		for r, run := range runs {
+			prevHi := 0
+			for ri, kr := range ranges {
+				lo, hi := kr.Clamp(run)
+				if lo != prevHi || hi < lo {
+					t.Fatalf("run %d: range %d window [%d,%d) does not continue the tiling at %d", r, ri, lo, hi, prevHi)
+				}
+				prevHi = hi
+				for _, k := range run[lo:hi] {
+					windows[ri][k] = true
+				}
+			}
+			if prevHi != len(run) {
+				t.Fatalf("run %d: windows cover %d of %d keys", r, prevHi, len(run))
+			}
+		}
+		for ri, r := range ranges {
+			lo, hi := r.Clamp(keys)
+			if len(windows[ri]) != hi-lo {
+				t.Fatalf("range %d: runs' windows hold %d distinct keys, range has %d", ri, len(windows[ri]), hi-lo)
+			}
+			for _, k := range keys[lo:hi] {
+				if !windows[ri][k] {
+					t.Fatalf("range %d: key %v is in no run's window", ri, k)
 				}
 			}
 		}

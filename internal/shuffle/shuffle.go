@@ -21,8 +21,8 @@
 // a SpillDir the pairs held in memory stay at or under P*MemoryBudget.
 //
 // The read side has one k-way merge: a heap over the partition's runs
-// driven by their resident indexes, which also plans the class-aligned
-// key ranges a partition's reduce splits into. Proc reduce workers
+// driven by their resident indexes, which also plans the key ranges a
+// partition's reduce splits into, cut between distinct keys. Proc reduce workers
 // adopt their committed sections (Adopt) and read them through the
 // same merge.
 package shuffle
@@ -291,8 +291,13 @@ type memRun[K comparable, V any] struct {
 	vals [][]V
 }
 
-// New creates a shuffle with the given options.
+// New creates a shuffle with the given options. It panics when K has
+// no canonical order; callers refuse such key types first
+// (CheckKeyType).
 func New[K comparable, V any](opts Options) *Shuffle[K, V] {
+	if err := CheckKeyType[K](); err != nil {
+		panic(err)
+	}
 	n := opts.Partitions
 	if n <= 0 {
 		n = DefaultPartitions()
@@ -318,10 +323,10 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 	}
 	if opts.SpillDir != "" {
 		// Keys grouped after a disk round trip are compared with ==, so
-		// types whose decoded copies break == (pointer fields, etc.)
-		// must fail the first seal loudly instead of splitting groups;
-		// values must survive without silent loss (gob drops unexported
-		// struct fields without error).
+		// a key type whose decoded copies can differ from the original
+		// (gob drops unexported struct fields) must fail the first seal
+		// loudly instead of merging groups; values must survive without
+		// silent loss for the same reason.
 		if err := runfile.CanRoundTripIdentity[K](); err != nil {
 			s.spillTypeErr = fmt.Errorf("key type: %w", err)
 		} else if err := runfile.CanRoundTripFidelity[V](); err != nil {

@@ -450,8 +450,8 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 // index-driven range units on a skewed shuffle: ~70% of all pairs land
 // in one partition, so the whole-partition plan's makespan is pinned to
 // the hot partition no matter how the workers are loaded, while range
-// splitting cuts the hot partition into class-aligned units any worker
-// can take. Both plans are balanced with the same LPT scheduler
+// splitting cuts the hot partition, between distinct keys, into units
+// any worker can take. Both plans are balanced with the same LPT scheduler
 // (core.BalanceLoads); the bench asserts the range plan's makespan is
 // strictly smaller and reports both in pairs-per-busiest-worker. The
 // timed section reads every range unit through RangeReader, so values/s

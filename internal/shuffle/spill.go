@@ -324,19 +324,17 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 // The merge order comes entirely from the runs' resident indexes — no
 // key is decoded from disk — and value sections are addressed through
 // those indexes and loaded on demand in fold order (a mapped view or
-// one pread each), so distinct keys that order alike (NaN fields),
-// where a fold can revisit a run's tied groups out of file order, run
-// the same code as every other key. Groups of the same key that
-// become adjacent in merge order are folded into a single output group
-// whose values concatenate in run order, preserving the value-order
-// contract; without a combiner each section moves as one raw framed
-// copy, never parsed, while with a combiner the folded values are
-// decoded, re-combined, and re-encoded, shrinking the rewritten bytes
-// toward the post-combine communication cost. Peak memory is one
-// group; peak descriptors maxDiskRunFanIn plus the output file.
+// one pread each). The groups of one key across runs are folded into a
+// single output group whose values concatenate in run order,
+// preserving the value-order contract; without a combiner each section
+// moves as one raw framed copy, never parsed, while with a combiner
+// the folded values are decoded, re-combined, and re-encoded,
+// shrinking the rewritten bytes toward the post-combine communication
+// cost. Peak memory is one group; peak descriptors maxDiskRunFanIn
+// plus the output file.
 func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K]) (path string, w *runfile.Writer, keysWritten []K, retErr error) {
 	compare := nativeCompare[K]()
-	cursors, closeAll, err := openDiskCursors[K, V](s, compacting, compare == nil)
+	cursors, closeAll, err := openDiskCursors[K, V](s, compacting)
 	defer closeAll()
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting spill runs: %w", err)
@@ -356,50 +354,21 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	w = runfile.NewWriter(out)
 
 	h := &cursorHeap[K, V]{compare: compare}
-	if err := primeCursors(h, cursors); err != nil {
-		return "", nil, nil, err
-	}
+	h.prime(cursors)
 
-	// Drain whole order-equivalence classes (see forEachGroup): within a
-	// class, groups of the same actual key are folded into one output
-	// group, values concatenating in run order. Each drained entry is
-	// just an index record — cursor, key, count, section location — and
-	// the fold loads sections when it writes them.
-	type centry struct {
+	// Each source of an output group is just an index record — cursor,
+	// count, section location — and the fold loads sections when it
+	// writes them.
+	type source struct {
 		c        *groupCursor[K, V]
-		key      K
 		count    int
 		valBytes int64
 		valOff   int64
 	}
-	var entries []centry
+	var srcs []source
 	var kbuf, vbuf []byte
 	var vals []V // combiner scratch, reused across groups
-	var pivot K
-	var pivotFmt string
-	inClass := func(c *groupCursor[K, V]) bool {
-		if compare != nil {
-			return compare(c.key, pivot) == 0
-		}
-		return c.fkey == pivotFmt
-	}
-	drain := func(c *groupCursor[K, V]) error {
-		for {
-			entries = append(entries, centry{c: c, key: c.key, count: c.count, valBytes: c.valBytes, valOff: c.valOff})
-			ok, err := c.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if !inClass(c) {
-				h.push(c)
-				return nil
-			}
-		}
-	}
-	writeGroup := func(k K, srcs []centry) error {
+	writeGroup := func(k K) error {
 		var err error
 		kbuf, err = runfile.Append(kbuf[:0], k)
 		if err != nil {
@@ -461,34 +430,16 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 		keysWritten = append(keysWritten, k)
 		return nil
 	}
-	var group []centry
 	for len(h.cs) > 0 {
-		top := h.pop()
-		pivot, pivotFmt = top.key, top.fkey
-		entries = entries[:0]
-		if err := drain(top); err != nil {
+		k := h.cs[0].key
+		srcs = srcs[:0]
+		for len(h.cs) > 0 && compare(h.cs[0].key, k) == 0 {
+			c := h.pop()
+			srcs = append(srcs, source{c: c, count: c.count, valBytes: c.valBytes, valOff: c.valOff})
+			h.advance(c)
+		}
+		if err := writeGroup(k); err != nil {
 			return "", nil, nil, err
-		}
-		for len(h.cs) > 0 && inClass(h.cs[0]) {
-			if err := drain(h.pop()); err != nil {
-				return "", nil, nil, err
-			}
-		}
-		for i := range entries {
-			if entries[i].count < 0 {
-				continue // folded into an earlier group of the same key
-			}
-			k := entries[i].key
-			group = append(group[:0], entries[i])
-			for j := i + 1; j < len(entries); j++ {
-				if entries[j].count >= 0 && entries[j].key == k {
-					group = append(group, entries[j])
-					entries[j].count = -1
-				}
-			}
-			if err := writeGroup(k, group); err != nil {
-				return "", nil, nil, err
-			}
 		}
 	}
 	if err := w.Finish(); err != nil {
@@ -516,9 +467,9 @@ type runView struct {
 
 // viewCursor returns a cursor over v walking index — the run's whole
 // resident index, or a range's clamped window of it.
-func viewCursor[K comparable, V any](v runView, runIdx int, fmtKeys bool, index []keyCount[K], meter *atomic.Int64) *groupCursor[K, V] {
+func viewCursor[K comparable, V any](v runView, runIdx int, index []keyCount[K], meter *atomic.Int64) *groupCursor[K, V] {
 	return &groupCursor[K, V]{
-		runIdx: runIdx, fmtKeys: fmtKeys, idx: index,
+		runIdx: runIdx, idx: index,
 		file: v.file, img: v.img, ra: v.ra, raOff: v.raOff, meter: meter,
 	}
 }
@@ -576,31 +527,16 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 // key ordering comes from the run's resident index; the file supplies
 // only value-section bytes, addressed directly through the index (see
 // openRunViews for the mapped-view/pread split).
-func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K], fmtKeys bool) ([]*groupCursor[K, V], func(), error) {
+func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]*groupCursor[K, V], func(), error) {
 	views, closeAll, err := openRunViews(s, runs)
 	if err != nil {
 		return nil, closeAll, err
 	}
 	cursors := make([]*groupCursor[K, V], 0, len(runs))
 	for i, dr := range runs {
-		cursors = append(cursors, viewCursor[K, V](views[i], i, fmtKeys, dr.index, &s.diskRead))
+		cursors = append(cursors, viewCursor[K, V](views[i], i, dr.index, &s.diskRead))
 	}
 	return cursors, closeAll, nil
-}
-
-// primeCursors advances every cursor to its first group and pushes the
-// non-empty ones onto the heap.
-func primeCursors[K comparable, V any](h *cursorHeap[K, V], cursors []*groupCursor[K, V]) error {
-	for _, c := range cursors {
-		ok, err := c.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.push(c)
-		}
-	}
-	return nil
 }
 
 // Close deletes the shuffle's spill files; call it once the reduce
@@ -663,8 +599,7 @@ func (s *Shuffle[K, V]) Close() error {
 // driven by its resident index — with the run file attached only when
 // values are being read.
 type groupCursor[K comparable, V any] struct {
-	runIdx  int  // run order: disk runs, then in-memory runs
-	fmtKeys bool // cache fmt.Sprint of each key (formatted-order kinds)
+	runIdx int // run order: disk runs, then in-memory runs
 
 	// in-memory source
 	memKeys []K
@@ -686,7 +621,6 @@ type groupCursor[K comparable, V any] struct {
 
 	// current group
 	key      K
-	fkey     string // formatted key, when fmtKeys; computed once per group
 	count    int
 	valBytes int64 // value-section length (spilled source)
 	valOff   int64 // value-section offset within the run (spilled source)
@@ -695,26 +629,22 @@ type groupCursor[K comparable, V any] struct {
 // next advances to the cursor's next group, returning false at the end
 // of the run. Purely in-memory: spilled cursors step their index; the
 // file is touched only when values() is called.
-func (c *groupCursor[K, V]) next() (bool, error) {
+func (c *groupCursor[K, V]) next() bool {
 	if c.memKeys != nil {
 		if c.pos >= len(c.memKeys) {
-			return false, nil
+			return false
 		}
 		c.key = c.memKeys[c.pos]
 		c.count = len(c.memVals[c.pos])
-		c.pos++
 	} else {
 		if c.pos >= len(c.idx) {
-			return false, nil
+			return false
 		}
 		e := c.idx[c.pos]
 		c.key, c.count, c.valBytes, c.valOff = e.key, int(e.count), e.valBytes, e.valOff
-		c.pos++
 	}
-	if c.fmtKeys {
-		c.fkey = fmt.Sprint(c.key)
-	}
-	return true, nil
+	c.pos++
+	return true
 }
 
 // loadSection fills the cursor's batch with the value section at
@@ -773,26 +703,34 @@ func (c *groupCursor[K, V]) values(reuse bool) ([]V, error) {
 
 // cursorHeap is a binary min-heap of cursors ordered by (current key,
 // run order), so equal keys pop in run order and the concatenated
-// values respect the package's value-order contract. compare is the
-// native typed order; when nil (formatted-order kinds) the cursors'
-// cached fkey strings are compared instead, so fmt runs once per group
-// advance, not once per heap comparison.
+// values respect the package's value-order contract.
 type cursorHeap[K comparable, V any] struct {
 	cs      []*groupCursor[K, V]
 	compare func(a, b K) int
 }
 
 func (h *cursorHeap[K, V]) before(a, b *groupCursor[K, V]) bool {
-	if h.compare != nil {
-		if c := h.compare(a.key, b.key); c != 0 {
-			return c < 0
-		}
-		return a.runIdx < b.runIdx
-	}
-	if a.fkey != b.fkey {
-		return a.fkey < b.fkey
+	if c := h.compare(a.key, b.key); c != 0 {
+		return c < 0
 	}
 	return a.runIdx < b.runIdx
+}
+
+// prime advances every cursor to its first group and pushes the
+// non-empty ones.
+func (h *cursorHeap[K, V]) prime(cursors []*groupCursor[K, V]) {
+	for _, c := range cursors {
+		h.advance(c)
+	}
+}
+
+// advance steps c to its next group and pushes it back unless its run
+// is exhausted. A run that repeats a key sorts the cursor back to the
+// top, ahead of later runs, so it is popped again in run order.
+func (h *cursorHeap[K, V]) advance(c *groupCursor[K, V]) {
+	if c.next() {
+		h.push(c)
+	}
 }
 
 func (h *cursorHeap[K, V]) push(c *groupCursor[K, V]) {
@@ -842,15 +780,14 @@ func (p Partition[K, V]) forEachGroup(fn func(k K, count int) error) error {
 	if p.s.closed && st.spilledToDisk {
 		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	compare := nativeCompare[K]()
 	var cursors []*groupCursor[K, V]
 	for _, dr := range st.disk {
-		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: compare == nil, idx: dr.index})
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), idx: dr.index})
 	}
 	for _, run := range st.mem {
-		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), fmtKeys: compare == nil, memKeys: run.keys, memVals: run.vals})
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(cursors), memKeys: run.keys, memVals: run.vals})
 	}
-	return mergeGroupCursors(cursors, compare, false, false, func(k K, count int, _ []V) error {
+	return mergeGroupCursors(cursors, nativeCompare[K](), false, false, func(k K, count int, _ []V) error {
 		return fn(k, count)
 	})
 }
@@ -862,94 +799,41 @@ func (p Partition[K, V]) forEachGroup(fn func(k K, count int) error) error {
 // the value-order contract holds.
 func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], compare func(a, b K) int, withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
 	h := &cursorHeap[K, V]{compare: compare}
-	if err := primeCursors(h, cursors); err != nil {
-		return err
-	}
-
-	// Pop whole order-equivalence classes of the minimum key. Under the
-	// typed orders order-equality is equality (NaN fields aside), so a
-	// class is one key; for the formatted fallback, distinct keys can
-	// collide in sort order (and each run may hold several of them in
-	// arbitrary relative order), so the class is drained entirely and
-	// regrouped by actual key before emitting — one group per key,
-	// always.
-	type entry struct {
-		key   K
-		count int
-		vs    []V
-	}
-	var entries []entry
-	var pivot K
-	var pivotFmt string
-	inClass := func(c *groupCursor[K, V]) bool {
-		if compare != nil {
-			return compare(c.key, pivot) == 0
+	h.prime(cursors)
+	// Pop every cursor at the minimum key — in run order, since the heap
+	// breaks ties by runIdx — and concatenate their groups into one.
+	for len(h.cs) > 0 {
+		c := h.pop()
+		k, count := c.key, c.count
+		var vs []V
+		if withValues {
+			var err error
+			if vs, err = c.values(reuseValues); err != nil {
+				return err
+			}
 		}
-		return c.fkey == pivotFmt
-	}
-	drain := func(c *groupCursor[K, V]) error {
-		// Record the cursor's groups through the end of the class;
-		// cursors are drained in run order (the heap tie-breaks equal
-		// keys by runIdx), preserving the value-order contract.
-		for {
-			e := entry{key: c.key, count: c.count}
+		h.advance(c)
+		copied := false
+		for len(h.cs) > 0 && compare(h.cs[0].key, k) == 0 {
+			c := h.pop()
 			if withValues {
-				vs, err := c.values(reuseValues)
+				if !copied {
+					// Copy before extending: a single-run slice may alias
+					// a live map's backing array or a cursor's scratch.
+					vs = append(make([]V, 0, count+c.count), vs...)
+					copied = true
+				}
+				more, err := c.values(reuseValues)
 				if err != nil {
 					return err
 				}
-				e.vs = vs
+				vs = append(vs, more...)
 			}
-			entries = append(entries, e)
-			ok, err := c.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if !inClass(c) {
-				h.push(c)
-				return nil
-			}
+			count += c.count
+			h.advance(c)
 		}
-	}
-	for len(h.cs) > 0 {
-		top := h.pop()
-		pivot, pivotFmt = top.key, top.fkey
-		entries = entries[:0]
-		if err := drain(top); err != nil {
+		if err := fn(k, count, vs); err != nil {
 			return err
-		}
-		for len(h.cs) > 0 && inClass(h.cs[0]) {
-			if err := drain(h.pop()); err != nil {
-				return err
-			}
-		}
-		for i := range entries {
-			if entries[i].count < 0 {
-				continue // folded into an earlier entry of the same key
-			}
-			k, count, vs := entries[i].key, entries[i].count, entries[i].vs
-			copied := false
-			for j := i + 1; j < len(entries); j++ {
-				if entries[j].count >= 0 && entries[j].key == k {
-					if withValues {
-						if !copied {
-							// Copy before extending: a single-run slice
-							// may alias a live map's backing array.
-							vs = append(make([]V, 0, count+entries[j].count), vs...)
-							copied = true
-						}
-						vs = append(vs, entries[j].vs...)
-					}
-					count += entries[j].count
-					entries[j].count = -1
-				}
-			}
-			if err := fn(k, count, vs); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

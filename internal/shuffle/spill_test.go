@@ -271,8 +271,7 @@ func TestSpillValueOrderAcrossRuns(t *testing.T) {
 // fmt.Sprint forms collide. The compiled key order compares their
 // fields one at a time, so they no longer tie; the k-way merge must
 // emit exactly one group per actual key with all its values, in memory
-// and spilled. The formatted fallback's tie classes are pinned by
-// TestRangeSplitCollidingKeys.
+// and spilled.
 func TestMergeCollidingFormattedKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	// All four format as "{a b c}"; two more are unambiguous.
@@ -347,34 +346,24 @@ func TestReadAfterCloseFails(t *testing.T) {
 // TestNativeCompareAgreesWithSortKeys pins the invariant the k-way
 // merge rests on: for every orderable key type — the built-in number
 // kinds and strings, and the compiled order's named scalars, structs
-// and arrays — nativeCompare must order exactly as SortKeys sorts, and
-// the types holding a pointer, interface or channel must return nil
-// (formatted fallback), matching SortKeys' last case.
+// and arrays — CheckKeyType admits the type and nativeCompare orders
+// exactly as SortKeys sorts; the types holding a pointer, interface or
+// channel are refused by an error that names them.
 func TestNativeCompareAgreesWithSortKeys(t *testing.T) {
-	check := func(t *testing.T, name string, test func() (bool, bool)) {
-		t.Helper()
-		hasCompare, agrees := test()
-		if !hasCompare {
-			t.Fatalf("%s: nativeCompare returned nil for an orderable type", name)
-		}
-		if !agrees {
-			t.Errorf("%s: nativeCompare order disagrees with SortKeys", name)
-		}
-	}
-	check(t, "int", agreeKind([]int{5, -1, 3, 0}))
-	check(t, "int8", agreeKind([]int8{5, -1, 3}))
-	check(t, "int16", agreeKind([]int16{5, -1, 3}))
-	check(t, "int32", agreeKind([]int32{5, -1, 3}))
-	check(t, "int64", agreeKind([]int64{5, -1, 3}))
-	check(t, "uint", agreeKind([]uint{5, 1, 3}))
-	check(t, "uint8", agreeKind([]uint8{5, 1, 3}))
-	check(t, "uint16", agreeKind([]uint16{5, 1, 3}))
-	check(t, "uint32", agreeKind([]uint32{5, 1, 3}))
-	check(t, "uint64", agreeKind([]uint64{5, 1, 3}))
-	check(t, "uintptr", agreeKind([]uintptr{5, 1, 3}))
-	check(t, "float32", agreeKind([]float32{2.5, -1, 0}))
-	check(t, "float64", agreeKind([]float64{2.5, -1, 0}))
-	check(t, "string", agreeKind([]string{"b", "a", "c"}))
+	agree(t, "int", []int{5, -1, 3, 0})
+	agree(t, "int8", []int8{5, -1, 3})
+	agree(t, "int16", []int16{5, -1, 3})
+	agree(t, "int32", []int32{5, -1, 3})
+	agree(t, "int64", []int64{5, -1, 3})
+	agree(t, "uint", []uint{5, 1, 3})
+	agree(t, "uint8", []uint8{5, 1, 3})
+	agree(t, "uint16", []uint16{5, 1, 3})
+	agree(t, "uint32", []uint32{5, 1, 3})
+	agree(t, "uint64", []uint64{5, 1, 3})
+	agree(t, "uintptr", []uintptr{5, 1, 3})
+	agree(t, "float32", []float32{2.5, -1, 0})
+	agree(t, "float64", []float64{2.5, -1, 0})
+	agree(t, "string", []string{"b", "a", "c"})
 
 	type cell struct{ I, J int }
 	type nodeID int64
@@ -383,65 +372,77 @@ func TestNativeCompareAgreesWithSortKeys(t *testing.T) {
 		On   bool
 		At   [2]int8
 	}
-	check(t, "struct", agreeKind([]cell{{10, 0}, {9, 5}, {9, 0}, {-1, 7}}))
-	check(t, "array", agreeKind([][3]uint16{{1, 2, 3}, {1, 0, 9}, {0, 9, 9}}))
-	check(t, "named int", agreeKind([]nodeID{12, -3, 100, 9}))
-	check(t, "bool", agreeKind([]bool{true, false}))
-	check(t, "complex", agreeKind([]complex128{1 + 2i, 1 - 2i, -1}))
-	check(t, "mixed struct", agreeKind([]mixed{{"b", false, [2]int8{}}, {"a", true, [2]int8{1, -1}}, {"a", true, [2]int8{1, -2}}, {"a", false, [2]int8{3}}}))
+	agree(t, "struct", []cell{{10, 0}, {9, 5}, {9, 0}, {-1, 7}})
+	agree(t, "array", [][3]uint16{{1, 2, 3}, {1, 0, 9}, {0, 9, 9}})
+	agree(t, "named int", []nodeID{12, -3, 100, 9})
+	agree(t, "bool", []bool{true, false})
+	agree(t, "complex", []complex128{1 + 2i, 1 - 2i, -1})
+	agree(t, "mixed struct", []mixed{{"b", false, [2]int8{}}, {"a", true, [2]int8{1, -1}}, {"a", true, [2]int8{1, -2}}, {"a", false, [2]int8{3}}})
 
 	type withPtr struct{ P *int }
 	type withAny struct{ A any }
 	type withChan struct{ C chan int }
-	if nativeCompare[withPtr]() != nil || nativeCompare[withAny]() != nil || nativeCompare[withChan]() != nil || nativeCompare[any]() != nil {
-		t.Error("pointer, interface and channel keys must take the formatted fallback (nil)")
+	refused(t, CheckKeyType[withPtr](), "withPtr")
+	refused(t, CheckKeyType[withAny](), "withAny")
+	refused(t, CheckKeyType[withChan](), "withChan")
+	refused(t, CheckKeyType[any](), "interface {}")
+}
+
+// agree sorts a copy of vals with SortKeys and verifies that K is
+// admitted and that nativeCompare calls the result strictly ascending.
+func agree[K comparable](t *testing.T, name string, vals []K) {
+	t.Helper()
+	if err := CheckKeyType[K](); err != nil {
+		t.Fatalf("%s: orderable type refused: %v", name, err)
+	}
+	compare := nativeCompare[K]()
+	sorted := append([]K(nil), vals...)
+	SortKeys(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if compare(sorted[i-1], sorted[i]) >= 0 || compare(sorted[i], sorted[i-1]) <= 0 {
+			t.Errorf("%s: nativeCompare order disagrees with SortKeys", name)
+			return
+		}
 	}
 }
 
-// agreeKind sorts a copy with SortKeys and verifies nativeCompare calls
-// it strictly ascending.
-func agreeKind[K comparable](vals []K) func() (bool, bool) {
-	return func() (bool, bool) {
-		compare := nativeCompare[K]()
-		if compare == nil {
-			return false, false
-		}
-		sorted := append([]K(nil), vals...)
-		SortKeys(sorted)
-		for i := 1; i < len(sorted); i++ {
-			if compare(sorted[i-1], sorted[i]) >= 0 || compare(sorted[i], sorted[i-1]) <= 0 {
-				return true, false
-			}
-		}
-		return true, true
+// refused checks that a CheckKeyType error exists and names the type.
+func refused(t *testing.T, err error, typeName string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), typeName) {
+		t.Errorf("CheckKeyType = %v, want an error naming %s", err, typeName)
 	}
 }
 
-// TestSpillRejectsPointerKeys: keys containing pointers decode from
-// disk as fresh allocations that break ==, which would silently split
-// groups — the first seal must fail loudly instead. In-memory sealing
-// (no SpillDir) keeps working: it groups by identity in maps.
-func TestSpillRejectsPointerKeys(t *testing.T) {
-	type pk struct{ P *int }
-	x := 7
-	key := pk{&x}
-
-	var pairs []Pair[pk, int]
+// TestSpillRejectsUnexportedKeyFields: a key type with an unexported
+// field has a compiled order, but gob drops the field, so keys that
+// differ only there would decode from disk as one key and silently
+// merge their groups — the first seal must fail loudly instead.
+// In-memory sealing (no SpillDir) keeps working: it groups by == in
+// maps.
+func TestSpillRejectsUnexportedKeyFields(t *testing.T) {
+	type uk struct {
+		A int
+		b int
+	}
+	var pairs []Pair[uk, int]
 	for i := 0; i < 8; i++ {
-		pairs = append(pairs, Pair[pk, int]{key, i})
+		pairs = append(pairs, Pair[uk, int]{uk{1, i % 2}, i})
 	}
-	s := New[pk, int](Options{Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir()})
-	err := runTasks(s, 0, [][]Pair[pk, int]{pairs}, 1)
+	s := New[uk, int](Options{Partitions: 2, MemoryBudget: 2, SpillDir: t.TempDir()})
+	s.SetPartitioner(func(uk) int { return 0 })
+	err := runTasks(s, 0, [][]Pair[uk, int]{pairs}, 1)
 	if err == nil || !strings.Contains(err.Error(), "cannot spill: key type") {
 		t.Fatalf("Commit err = %v, want a key-type rejection", err)
 	}
 
-	mem := New[pk, int](Options{Partitions: 2, MemoryBudget: 2})
-	if err := runTasks(mem, 0, [][]Pair[pk, int]{pairs}, 1); err != nil {
-		t.Fatalf("in-memory sealing rejected pointer keys: %v", err)
+	mem := New[uk, int](Options{Partitions: 2, MemoryBudget: 2})
+	mem.SetPartitioner(func(uk) int { return 0 })
+	if err := runTasks(mem, 0, [][]Pair[uk, int]{pairs}, 1); err != nil {
+		t.Fatalf("in-memory sealing rejected unexported key fields: %v", err)
 	}
-	if got := mem.Partition(mem.PartitionOf(key)).NumKeys(); got != 1 {
-		t.Errorf("in-memory grouping by identity broke: %d keys, want 1", got)
+	if got := mem.Partition(0).NumKeys(); got != 2 {
+		t.Errorf("in-memory grouping by == broke: %d keys, want 2", got)
 	}
 }
 
@@ -573,5 +574,39 @@ func TestWithSeedDeterministicPlacement(t *testing.T) {
 	h4 := NewHasher[string]()
 	if h4.pinned {
 		t.Fatal("restore did not un-pin the hasher mode")
+	}
+}
+
+// TestMergeRepeatedKeyInRun: the k-way merge pops every cursor at the
+// minimum key in run order, and pops a cursor again when its run
+// repeats a key, so the key still surfaces as one group whose values
+// concatenate in run order — without writing into any run's slices.
+func TestMergeRepeatedKeyInRun(t *testing.T) {
+	// Spare capacity behind the first group: extending it in place
+	// would write into the run.
+	first := make([]int, 1, 4)
+	first[0] = 10
+	cursors := []*groupCursor[int, int]{
+		{runIdx: 0, memKeys: []int{1, 1, 2}, memVals: [][]int{first, {11}, {20}}},
+		{runIdx: 1, memKeys: []int{0, 1}, memVals: [][]int{{0}, {12}}},
+	}
+	type group struct {
+		k, count int
+		vs       []int
+	}
+	var got []group
+	err := mergeGroupCursors(cursors, nativeCompare[int](), true, false, func(k, count int, vs []int) error {
+		got = append(got, group{k, count, vs})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []group{{0, 1, []int{0}}, {1, 3, []int{10, 11, 12}}, {2, 1, []int{20}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged groups %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(first[:4], []int{10, 0, 0, 0}) {
+		t.Fatalf("merge wrote into a run's value slice: %v", first[:4])
 	}
 }
